@@ -1,8 +1,8 @@
 """Deterministic chaos harness for the parallel executor fabric.
 
-The resilience protocol of :mod:`repro.core.parallel` (heartbeats, hang
-escalation, retry with backoff, poison-cell quarantine, degradation to a
-shrinking pool) is only trustworthy if it is *exercised* — a recovery
+The resilience protocol of :mod:`repro.core.parallel` (heartbeats, the
+per-worker lease, retry with backoff, poison-cell quarantine,
+degradation to a shrinking pool) is only trustworthy if it is *exercised* — a recovery
 path that never runs is a recovery path that does not work.  This module
 injects seeded faults into the fabric itself and asserts that the
 campaign's headline guarantee survives every one of them: results and
@@ -15,12 +15,12 @@ Fault classes (one scenario each, composable):
   segfault or OOM kill; the cell must be rescheduled from its last
   streamed checkpoint.
 * ``stall`` — a worker stops making progress mid-cell (sleeps through
-  its heartbeat); the scheduler must soft-cancel, then kill, then
-  reschedule.
-* ``drop``  — queue messages (checkpoints, telemetry, even completed
+  its heartbeat); its lease must expire, and the scheduler must kill it
+  and reschedule its cells.
+* ``drop``  — worker messages (checkpoints, telemetry, even completed
   cell results) vanish in flight; lost results must be detected and
   re-executed.
-* ``dup``   — queue messages are delivered twice; duplicates must be
+* ``dup``   — worker messages are delivered twice; duplicates must be
   discarded before the merge.
 * ``torn``  — a mid-cell checkpoint append is torn halfway and the
   process "dies" at that exact point (:class:`~repro.errors.ChaosAbort`);
@@ -31,8 +31,8 @@ Fault classes (one scenario each, composable):
   tight ``--max-incidents``).
 
 Network fault classes (:data:`NET_SCENARIOS`, socket backend only —
-they sever or corrupt a TCP transport that the in-process backends do
-not have):
+they sever or corrupt a TCP transport that the multiprocessing backend
+does not have):
 
 * ``disconnect``   — a worker drops its connection mid-cell; the parent
   must reschedule from the last acked checkpoint while the worker
@@ -132,7 +132,7 @@ class ChaosSpec:
     Worker-side: *events* (kills and stalls).  Parent-side:
     *drop_ordinals* / *dup_ordinals* index into the scheduler's stream of
     droppable (``partial``/``telemetry``/``cell``) and duplicable
-    (``cell``/``partial``) queue messages; *torn_ordinals* index into the
+    (``cell``/``partial``) worker messages; *torn_ordinals* index into the
     stream of parent-side checkpoint writes (see :class:`TornWriteStore`).
     *stale_rejoin* makes the socket worker's first reconnect claim a
     bogus session epoch (once, flag-file guarded), exercising the
@@ -245,13 +245,14 @@ def build_spec(
     flag_dir: str | Path,
     *,
     max_attempts: int = 3,
-    stall_duration: float = 20.0,
+    stall_duration: float = 120.0,
 ) -> ChaosSpec:
     """Seeded chaos plan for one scenario over *config*'s cell grid.
 
     Same (scenario, config, seed) → same plan.  *stall_duration* should
-    comfortably exceed the resilience policy's hang timeout plus grace
-    period, so the stalled worker is killed rather than outwaited.
+    comfortably exceed the resilience policy's lease, so the stalled
+    worker is killed rather than outwaited (the kill cuts the sleep
+    short, so a generous value costs nothing).
     """
     if scenario not in SCENARIOS + NET_SCENARIOS:
         raise ValueError(
@@ -345,6 +346,25 @@ def build_spec(
         torn_ordinals=torn,
         stale_rejoin=stale,
     )
+
+
+def chaos_policy(**overrides):
+    """The harness's resilience policy: tight timings, since chaos
+    campaigns are small and the stall scenario should end in seconds,
+    not minutes — a lease of ``max(3 s, 4 × one sample)`` tolerates as
+    much silence as ordinary cell setup needs.  *overrides* replace
+    individual knobs."""
+    from repro.core.executor import ResiliencePolicy
+
+    knobs = dict(
+        heartbeat_interval=0.1,
+        lease_factor=4.0,
+        lease_floor=3.0,
+        retry_base_delay=0.05,
+        retry_max_delay=0.5,
+    )
+    knobs.update(overrides)
+    return ResiliencePolicy(**knobs)
 
 
 def poison_cell_of(spec: ChaosSpec) -> tuple[str, str, int] | None:
@@ -462,7 +482,6 @@ def run_chaos(
     from repro.core.campaign import (
         CampaignStore, run_campaign,
     )
-    from repro.core.executor import ResiliencePolicy
     from repro.core.supervisor import IncidentJournal, Supervisor
     from repro.cpu.config import DEFAULT_CONFIG
 
@@ -476,19 +495,7 @@ def run_chaos(
     workdir = Path(workdir)
     workdir.mkdir(parents=True, exist_ok=True)
     if policy is None:
-        # Tight timeouts: chaos campaigns are small, and the stall
-        # scenario should escalate in seconds, not minutes.  Speculation
-        # is off so a stalled worker is *escalated* (soft-cancel → kill →
-        # reschedule) rather than quietly out-raced by a speculative
-        # re-execution — the harness must exercise the recovery path.
-        policy = ResiliencePolicy(
-            heartbeat_interval=0.1,
-            hang_timeout=2.0,
-            grace_period=1.0,
-            retry_base_delay=0.05,
-            retry_max_delay=0.5,
-            speculate=False,
-        )
+        policy = chaos_policy()
 
     # Serial reference: the bytes every scenario must reproduce.
     ref_store_path = workdir / "reference-store.json"
@@ -511,7 +518,6 @@ def run_chaos(
         spec = build_spec(
             scenario, config, seed, flag_dir,
             max_attempts=policy.max_attempts,
-            stall_duration=(policy.hang_timeout + policy.grace_period) * 8,
         )
         store_path = scenario_dir / "store.json"
 

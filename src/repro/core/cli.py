@@ -38,7 +38,7 @@ from repro.core.campaign import (
     run_campaign,
 )
 from repro.core.chaos import NET_SCENARIOS, SCENARIOS
-from repro.core.executor import ALL_BACKEND_NAMES, ResiliencePolicy
+from repro.core.executor import BACKEND_NAMES, ResiliencePolicy
 from repro.core.generator import CLUSTERED, INDEPENDENT, ClusterShape
 from repro.core.supervisor import IncidentJournal, Supervisor
 from repro.errors import ConfigError, InjectionIncident
@@ -129,12 +129,12 @@ def _add_campaign_args(parser: argparse.ArgumentParser) -> None:
         "deterministically (byte-identical to --jobs 1; default 1)",
     )
     parser.add_argument(
-        "--backend", choices=sorted(ALL_BACKEND_NAMES),
+        "--backend", choices=BACKEND_NAMES,
         default="multiprocessing",
-        help="executor backend for --jobs: 'multiprocessing' (in-process "
-        "pool, default), 'subprocess' (spawned workers over CRC-checked "
-        "pipe frames) or 'socket' (TCP coordinator for distributed "
-        "workers — see --listen); results are byte-identical either way",
+        help="executor backend for --jobs: 'multiprocessing' (local "
+        "worker pool, default) or 'socket' (TCP coordinator for "
+        "distributed workers — see --listen); results are byte-identical "
+        "either way",
     )
     parser.add_argument(
         "--listen", default=None, metavar="HOST:PORT",
@@ -148,28 +148,23 @@ def _add_campaign_args(parser: argparse.ArgumentParser) -> None:
         "a worker to join before degrading to fewer workers (default 30)",
     )
     parser.add_argument(
-        "--hang-timeout", type=float, default=None, metavar="SECONDS",
-        help="kill-and-reschedule a worker whose heartbeats go silent for "
-        "this long (default 30; cells resume from their last streamed "
-        "checkpoint, bit-identically)",
-    )
-    parser.add_argument(
         "--max-attempts", type=int, default=None, metavar="N",
         help="quarantine a cell after N failed executions (worker crashes "
-        "or hangs) as a poison-cell incident instead of retrying forever "
+        "or expired leases) as a poison-cell incident instead of retrying forever "
         "(default 3)",
     )
     parser.add_argument(
         "--heartbeat-interval", type=float, default=None, metavar="SECONDS",
         help="how often workers heartbeat from the per-sample probe "
-        "(default 0.5; must not exceed --hang-timeout)",
+        "(default 0.5; must stay below the 60s lease floor)",
     )
     parser.add_argument(
         "--lease-factor", type=float, default=None, metavar="K",
-        help="a worker owns a dispatched cell for K times its predicted "
-        "wall time (default 16, floored at 60s); an expired lease — an "
-        "unreachable or partitioned owner — is reclaimed and the cell "
-        "rescheduled from its last acked checkpoint",
+        help="a worker holding cells must be heard from within K times "
+        "the predicted wall time of one sample (default 16, floored at "
+        "60s); a worker silent past that lease — hung, or unreachable "
+        "behind a partition — is killed and its cells rescheduled from "
+        "their last acked checkpoint",
     )
     parser.add_argument(
         "--max-backoff", type=float, default=None, metavar="SECONDS",
@@ -261,12 +256,10 @@ def _policy_from_args(args: argparse.Namespace) -> ResiliencePolicy | None:
     """Validated resilience overrides, or ``None`` for policy defaults.
 
     Raises :class:`~repro.errors.ConfigError` on self-contradictory
-    knobs (e.g. a heartbeat interval above the hang timeout).
+    knobs (e.g. a heartbeat interval beyond the lease floor).
     """
     overrides = {}
-    for attr in (
-        "hang_timeout", "max_attempts", "heartbeat_interval", "lease_factor",
-    ):
+    for attr in ("max_attempts", "heartbeat_interval", "lease_factor"):
         value = getattr(args, attr, None)
         if value is not None:
             overrides[attr] = value
@@ -677,7 +670,7 @@ def _cmd_golden(args: argparse.Namespace) -> int:
 
 
 def _cmd_chaos(args: argparse.Namespace) -> int:
-    from repro.core.chaos import run_chaos
+    from repro.core.chaos import chaos_policy, run_chaos
 
     config = CampaignConfig(
         workloads=tuple(args.workloads) if args.workloads else ("crc32",),
@@ -686,14 +679,8 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         samples=args.samples,
         seed=args.seed,
     )
-    # The harness's tight timings (speculation off so stalls exercise the
-    # escalation path), with any CLI overrides applied on top.
-    knobs = dict(
-        heartbeat_interval=0.1, hang_timeout=2.0, grace_period=1.0,
-        retry_base_delay=0.05, retry_max_delay=0.5, speculate=False,
-    )
-    if args.hang_timeout is not None:
-        knobs["hang_timeout"] = args.hang_timeout
+    # The harness's tight timings, with any CLI override applied on top.
+    knobs = {}
     if args.max_attempts is not None:
         knobs["max_attempts"] = args.max_attempts
     scenarios = tuple(args.scenarios) if args.scenarios else SCENARIOS
@@ -705,7 +692,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
             seed=args.chaos_seed,
             workdir=args.workdir,
             backend=args.backend,
-            policy=ResiliencePolicy(**knobs),
+            policy=chaos_policy(**knobs),
             progress=lambda scenario: print(
                 f"chaos: running scenario {scenario!r} ...", file=sys.stderr
             ),
@@ -876,7 +863,7 @@ def main(argv: list[str] | None = None) -> int:
         help="seed of the fault plan (same seed → same chaos)",
     )
     p_chaos.add_argument(
-        "--backend", choices=sorted(ALL_BACKEND_NAMES),
+        "--backend", choices=BACKEND_NAMES,
         default="multiprocessing",
     )
     p_chaos.add_argument(
@@ -884,7 +871,6 @@ def main(argv: list[str] | None = None) -> int:
         help="scratch directory for per-scenario stores, chaos flag files "
         "and incident journals",
     )
-    p_chaos.add_argument("--hang-timeout", type=float, default=None)
     p_chaos.add_argument("--max-attempts", type=int, default=None)
     p_chaos.add_argument(
         "--out", type=Path, default=None, metavar="PATH",

@@ -2,10 +2,10 @@
 
 One campaign, many hosts.  The parent (the *coordinator*) listens on a
 TCP port; each worker host runs ``repro-campaign worker --connect
-HOST:PORT`` and speaks exactly the protocol the in-process backends
-speak — the same :func:`~repro.core.executor.worker_loop`, the same
+HOST:PORT`` and speaks exactly the protocol the multiprocessing backend
+speaks — the same :func:`~repro.core.executor.worker_loop`, the same
 messages, now carried as CRC-checked, epoch-stamped frames
-(:mod:`repro.core.wire`) over a socket instead of a pipe.  The scheduler
+(:mod:`repro.core.wire`) over a socket instead of a local pipe.  The scheduler
 in :mod:`repro.core.parallel` cannot tell the difference, which is the
 point: leases, retries, quarantine and the byte-identical-to-serial
 guarantee apply unchanged across a network boundary.
@@ -35,11 +35,12 @@ has:
 * **Stale sessions**: a worker claiming a different session's epoch is
   rejected at handshake, and data frames from a stale epoch read as EOF
   — a campaign can never absorb another campaign's results.
-* **Partition**: a silent-but-connected worker forfeits its cell leases
-  (see DESIGN.md §12); a full partition degrades the pool to the
-  surviving hosts and ultimately to the in-parent serial fallback.
-  Duplicate results from the far side of a healed partition are dropped
-  by the first-canonical-result-wins rule.
+* **Partition**: a silent-but-connected worker outlives its lease (see
+  DESIGN.md §10) and is disconnected, exactly like a hung local worker
+  is killed; a full partition degrades the pool to the surviving hosts
+  and ultimately to the in-parent serial fallback.  Duplicate results
+  from the far side of a healed partition are dropped by the
+  first-canonical-result-wins rule.
 
 There is no authentication layer: the coordinator trusts its network,
 like the SGE dispatch in DAVOS trusts its cluster.  Bind to localhost
@@ -60,7 +61,6 @@ from pathlib import Path
 from repro import obs
 from repro.core import chaos as chaos_module
 from repro.core.executor import (
-    BACKENDS,
     ExecutorBackend,
     WorkerHandle,
     WorkerSpec,
@@ -192,8 +192,6 @@ class SocketBackend(ExecutorBackend):
     thread and parked until the scheduler's next ``spawn()`` (triggered
     by the death of its previous incarnation) adopts it.
     """
-
-    name = "socket"
 
     def __init__(
         self,
@@ -383,8 +381,6 @@ class SocketBackend(ExecutorBackend):
         )
         self._procs.append(proc)
 
-
-BACKENDS[SocketBackend.name] = SocketBackend
 
 
 # ---------------------------------------------------------------------------

@@ -1,27 +1,23 @@
-"""Pluggable executor backends for the parallel campaign scheduler.
+"""Executor backends for the parallel campaign scheduler.
 
-:mod:`repro.core.parallel` used to hard-wire one multiprocessing pool;
-this module extracts the seam between *scheduling* (which cell runs
-where, retries, quarantine — the parent's job) and *execution* (how a
-worker process is spawned and spoken to — the backend's job), the same
-dispatch abstraction DAVOS uses to run one campaign on either a
-multicore PC or an SGE grid.
+This module is the seam between *scheduling* (which cell runs where,
+retries, quarantine — the parent's job in :mod:`repro.core.parallel`)
+and *execution* (how a worker process is spawned and spoken to — the
+backend's job), the same dispatch abstraction DAVOS uses to run one
+campaign on either a multicore PC or an SGE grid.
 
-Two backends ship today:
+Two backends ship:
 
-* :class:`MultiprocessingBackend` — the original in-process
-  ``multiprocessing`` pool (fork when available, spawn otherwise),
-  talking over context queues.  Cheapest start-up, shares the parent's
-  warm caches over fork.
-* :class:`SubprocessBackend` — fully spawned ``subprocess`` workers
-  speaking **length-prefixed messages over pipes** (4-byte big-endian
-  length + pickled tuple).  Nothing is shared with the parent but the
-  byte stream, which is exactly the discipline a future multi-host
-  (SSH/container/socket) backend needs — this backend exists to prove
-  that seam and to keep it honest via the backend-conformance tests.
+* :class:`MultiprocessingBackend` — forked workers (spawned where fork
+  is unavailable), each with its own task queue, stop event and one-way
+  result pipe.  Cheapest start-up, shares the parent's warm caches over
+  fork.
+* :class:`~repro.core.coordinator.SocketBackend` (``"socket"``) — a TCP
+  coordinator whose workers may live on other hosts, speaking
+  CRC-checked frames (:mod:`repro.core.wire`).
 
-Both backends run the same :func:`worker_loop`; a worker is defined by
-the messages it exchanges, not by how its process was made:
+Both run the same :func:`worker_loop`; a worker is defined by the
+messages it exchanges, not by how its process was made:
 
 parent → worker   ``batch`` (list of :class:`CellTask`), ``None``
                   (shutdown), soft-cancel (per-worker stop flag)
@@ -36,9 +32,9 @@ worker → parent   ``("ready", wid)`` · ``("start", wid, index, golden)``
 
 Heartbeats piggyback on the per-sample stop probe, so a worker that
 stops heartbeating has by definition stopped making sample progress —
-the scheduler's hang detector needs no second channel.  The
-:class:`ResiliencePolicy` dataclass holds every tunable of the
-resilience protocol layered on top (see DESIGN.md §10).
+the scheduler's one watchdog, the per-worker lease, needs no second
+channel.  The :class:`ResiliencePolicy` dataclass holds every tunable of
+the resilience protocol layered on top (see DESIGN.md §10).
 """
 
 from __future__ import annotations
@@ -46,14 +42,14 @@ from __future__ import annotations
 import hashlib
 import multiprocessing
 import os
+import pickle
 import queue as queue_module
 import signal
-import subprocess
-import sys
-import threading
 import time
 import traceback as traceback_module
+from collections import deque
 from dataclasses import dataclass
+from multiprocessing.connection import wait as wait_connections
 from typing import Callable
 
 from repro import obs
@@ -66,15 +62,12 @@ from repro.core.campaign import (
     run_cell,
 )
 from repro.core.chaos import ChaosSpec
-from repro.core.wire import (  # noqa: F401 - re-exported compat names
-    HANDSHAKE_EPOCH,
-    MAX_FRAME_BYTES,
-    read_frame,
-    write_frame,
-)
-from repro.cpu.config import DEFAULT_CONFIG, CoreConfig
+from repro.cpu.config import CoreConfig
 from repro.errors import CampaignInterrupted, InjectionIncident
 from repro.workloads import get_workload
+
+#: The names ``--backend`` accepts.
+BACKEND_NAMES: tuple[str, ...] = ("multiprocessing", "socket")
 
 
 @dataclass(frozen=True)
@@ -94,37 +87,23 @@ class CellTask:
 class ResiliencePolicy:
     """Every tunable of the executor fabric's failure handling.
 
-    Deadlines are derived, not configured: the scheduler calibrates a
-    golden-cycles-per-wall-second rate from completed cells and allows
-    each in-flight cell ``deadline_factor`` times its predicted wall
-    time (never less than ``deadline_floor`` seconds).  Until the first
-    cell completes there is no rate and no deadline — heartbeat silence
-    (``hang_timeout``) is the primary hang signal throughout.
-
-    **Leases** are the cell-ownership layer on top (DESIGN.md §12): a
-    dispatched cell is *leased* to its worker for
-    ``lease_factor × predicted wall`` seconds (never less than
-    ``lease_floor``), renewed by every message from that worker.  An
-    expired lease means the owner is unreachable — partitioned, killed,
-    or wedged beyond even the hang escalator's reach (a remote host the
-    scheduler cannot SIGKILL) — so ownership is reclaimed and the cell
-    rescheduled; a late result from the old owner is suppressed by the
-    first-canonical-result-wins rule.  The defaults keep the lease
-    horizon comfortably beyond ``hang_timeout + grace_period`` so local
-    backends escalate before they ever forfeit a lease.
+    The fabric has one watchdog, the per-worker **lease** (DESIGN.md
+    §10): a worker that owes the parent a message — it was spawned and
+    has not yet sent ``ready``, or it holds dispatched cells — must send
+    one before its lease runs out, and any message renews it.  The lease
+    is ``lease_factor`` times the predicted wall time of *one sample*
+    (heartbeats arrive once per sample), never less than
+    ``lease_floor`` seconds; until a completed cell calibrates the
+    golden-cycles-per-second rate it is just ``lease_floor``.  A worker
+    that stays silent past its lease is killed (a socket worker is
+    disconnected) and its cells go through the ordinary retry path.
     """
 
     heartbeat_interval: float = 0.5
-    hang_timeout: float = 30.0
-    grace_period: float = 5.0
     max_attempts: int = 3
     retry_base_delay: float = 0.25
     retry_max_delay: float = 30.0
     retry_jitter: float = 0.25
-    deadline_factor: float = 8.0
-    deadline_floor: float = 10.0
-    straggler_factor: float = 3.0
-    speculate: bool = True
     restarts_per_worker: int = 2
     degrade_to_serial: bool = True
     lease_factor: float = 16.0
@@ -141,13 +120,8 @@ class ResiliencePolicy:
 
         positive = {
             "heartbeat_interval": self.heartbeat_interval,
-            "hang_timeout": self.hang_timeout,
-            "grace_period": self.grace_period,
             "retry_base_delay": self.retry_base_delay,
             "retry_max_delay": self.retry_max_delay,
-            "deadline_factor": self.deadline_factor,
-            "deadline_floor": self.deadline_floor,
-            "straggler_factor": self.straggler_factor,
             "lease_factor": self.lease_factor,
             "lease_floor": self.lease_floor,
         }
@@ -172,12 +146,19 @@ class ResiliencePolicy:
                 f"retry_max_delay ({self.retry_max_delay}) must be >= "
                 f"retry_base_delay ({self.retry_base_delay})"
             )
-        if self.heartbeat_interval > self.hang_timeout:
+        if self.heartbeat_interval >= self.lease_floor:
             raise ConfigError(
-                f"heartbeat_interval ({self.heartbeat_interval}) must not "
-                f"exceed hang_timeout ({self.hang_timeout}) — every live "
-                f"worker would look hung"
+                f"heartbeat_interval ({self.heartbeat_interval}) must be "
+                f"below lease_floor ({self.lease_floor}) — every live "
+                f"worker would outlive its lease between heartbeats"
             )
+
+    def lease(self, sample_wall: float | None) -> float:
+        """Lease seconds for a worker whose samples are predicted to take
+        *sample_wall* seconds each (``None``: not yet calibrated)."""
+        if sample_wall is None:
+            return self.lease_floor
+        return max(self.lease_floor, self.lease_factor * sample_wall)
 
     def backoff(self, cell_key: str, attempt: int) -> float:
         """Exponential backoff with deterministic jitter.
@@ -338,8 +319,8 @@ def worker_loop(
     shutdown.  *stop_flag* is the soft-cancel probe — polled between
     samples, so a cancelled worker flushes one final mid-cell checkpoint
     before exiting.  SIGINT/SIGTERM are ignored here: shutdown is the
-    parent's job, delivered through the stop flag (the scheduler
-    escalates to SIGKILL when a worker ignores that too).
+    parent's job, delivered through the stop flag (a worker that goes
+    silent instead outlives its lease and is killed).
     """
     for signum in (signal.SIGINT, signal.SIGTERM):
         try:
@@ -384,9 +365,9 @@ def worker_loop(
                     shipper.ship()
                     send(("stopped", worker_id))
                     return
-                # Golden cycles are the deadline currency: computed (or
-                # cache-served) before the cell so the parent can bound
-                # its wall clock from the very first heartbeat.
+                # Golden cycles are the lease currency: computed (or
+                # cache-served) before the cell so the parent can size
+                # this worker's lease from the very first heartbeat.
                 try:
                     golden_cycles = golden_run(
                         get_workload(task.workload), spec.core_cfg
@@ -479,10 +460,8 @@ class ExecutorBackend:
     ``recv()`` the next message from any worker (``None`` on timeout),
     ``close()`` when done.  Everything else — transport, serialisation,
     process lifecycle — is the backend's private business, which is what
-    lets a multi-host backend slot in without touching the scheduler.
+    lets the socket backend span hosts without touching the scheduler.
     """
-
-    name: str = "abstract"
 
     def spawn(self) -> WorkerHandle:
         raise NotImplementedError
@@ -495,7 +474,7 @@ class ExecutorBackend:
 
 
 # ---------------------------------------------------------------------------
-# Multiprocessing backend (queues, fork/spawn)
+# Multiprocessing backend (task queues, result pipes, fork/spawn)
 # ---------------------------------------------------------------------------
 
 
@@ -508,12 +487,18 @@ def _context() -> multiprocessing.context.BaseContext:
 
 
 def _mp_worker_main(
-    worker_id: int, spec: WorkerSpec, task_queue, result_queue, stop_event
+    worker_id: int, spec: WorkerSpec, task_queue, result_pipe, stop_event
 ) -> None:
+    def send(message: tuple) -> None:
+        try:
+            result_pipe.send(message)
+        except OSError:  # BrokenPipeError included: the parent is gone
+            os._exit(0)
+
     worker_loop(
         worker_id, spec,
         recv_batch=lambda timeout: task_queue.get(timeout=timeout),
-        send=result_queue.put,
+        send=send,
         stop_flag=stop_event.is_set,
     )
 
@@ -524,6 +509,7 @@ class _MpHandle(WorkerHandle):
         self._proc = proc
         self._task_queue = task_queue
         self._stop_event = stop_event
+        self.pipe_closed = False
 
     def send(self, batch) -> None:
         try:
@@ -539,7 +525,7 @@ class _MpHandle(WorkerHandle):
             self._proc.kill()
 
     def alive(self) -> bool:
-        return self._proc.is_alive()
+        return not self.pipe_closed and self._proc.is_alive()
 
     def exitcode(self) -> int | None:
         return self._proc.exitcode
@@ -552,259 +538,84 @@ class _MpHandle(WorkerHandle):
 
 
 class MultiprocessingBackend(ExecutorBackend):
-    """The original in-process pool, behind the backend seam.
+    """Forked (or spawned) local workers behind the backend seam.
 
-    One shared result queue, one task queue and one stop event per
-    worker — the per-worker stop event is what makes targeted
-    soft-cancel (hang escalation, straggler cancellation) possible where
-    the old single shared event could only stop the world.
+    Each worker gets its own task queue, stop event and one-way result
+    pipe; nothing is shared between workers.  A private pipe keeps each
+    worker's messages in FIFO order (lost-result detection and
+    "telemetry before cell" rely on it), and a worker that dies
+    mid-write — a chaos kill, a SIGKILL, an OOM — can tear only its own
+    stream.  A torn or closed pipe counts as that worker's death.
     """
-
-    name = "multiprocessing"
 
     def __init__(self, spec: WorkerSpec) -> None:
         self.spec = spec
         self.ctx = _context()
-        self.result_queue = self.ctx.Queue()
         self._next_id = 0
+        self._pipes: dict = {}  # read end → handle
+        self._inbox: deque[tuple] = deque()
 
     def spawn(self) -> _MpHandle:
         worker_id = self._next_id
         self._next_id += 1
         task_queue = self.ctx.Queue()
         stop_event = self.ctx.Event()
+        reader, writer = self.ctx.Pipe(duplex=False)
         proc = self.ctx.Process(
             target=_mp_worker_main,
-            args=(worker_id, self.spec, task_queue, self.result_queue,
-                  stop_event),
+            args=(worker_id, self.spec, task_queue, writer, stop_event),
             daemon=True,
         )
         proc.start()
-        return _MpHandle(worker_id, proc, task_queue, stop_event)
+        # Only the worker may hold the write end, or its death would
+        # never read as EOF.
+        writer.close()
+        handle = _MpHandle(worker_id, proc, task_queue, stop_event)
+        self._pipes[reader] = handle
+        return handle
+
+    def _read(self, reader) -> None:
+        try:
+            self._inbox.append(reader.recv())
+        except (EOFError, OSError, pickle.UnpicklingError):
+            self._pipes.pop(reader).pipe_closed = True
+            reader.close()
 
     def recv(self, timeout: float) -> tuple | None:
-        try:
-            return self.result_queue.get(timeout=timeout)
-        except queue_module.Empty:
-            return None
+        deadline = time.monotonic() + timeout
+        while not self._inbox:
+            remaining = deadline - time.monotonic()
+            if remaining <= 0:
+                return None
+            if not self._pipes:
+                time.sleep(remaining)
+                return None
+            for reader in wait_connections(list(self._pipes), remaining):
+                self._read(reader)
+        return self._inbox.popleft()
 
     def close(self) -> None:
-        self.result_queue.close()
-        self.result_queue.join_thread()
-
-
-# ---------------------------------------------------------------------------
-# Subprocess backend (CRC-framed messages over pipes)
-# ---------------------------------------------------------------------------
-#
-# The framing itself lives in :mod:`repro.core.wire` — the socket backend
-# shares it byte-for-byte, and pipes get the same per-frame CRC32: a torn,
-# oversized or corrupted frame reads as EOF, which the scheduler already
-# treats as a dead worker.  Pipe traffic stays in HANDSHAKE_EPOCH (there is
-# exactly one session per spawned worker, no reconnects to confuse).
-
-
-class _SubprocessHandle(WorkerHandle):
-    def __init__(self, worker_id: int, proc, reader: threading.Thread) -> None:
-        self.worker_id = worker_id
-        self._proc = proc
-        self._reader = reader
-        self._stdin_lock = threading.Lock()
-
-    def _write(self, message) -> None:
-        try:
-            with self._stdin_lock:
-                write_frame(self._proc.stdin, message)
-        except (BrokenPipeError, ValueError, OSError):
-            pass  # worker died; the scheduler's liveness poll handles it
-
-    def send(self, batch) -> None:
-        self._write(("task", batch))
-
-    def soft_cancel(self) -> None:
-        self._write(("stop",))
-
-    def kill(self) -> None:
-        if self._proc.poll() is None:
-            self._proc.kill()
-
-    def alive(self) -> bool:
-        return self._proc.poll() is None
-
-    def exitcode(self) -> int | None:
-        code = self._proc.poll()
-        # Match multiprocessing's convention: death by signal N → -N.
-        return code
-
-    def pid(self) -> int | None:
-        return self._proc.pid
-
-    def join(self, timeout: float) -> None:
-        try:
-            self._proc.wait(timeout=timeout)
-        except subprocess.TimeoutExpired:
-            pass
-
-
-class SubprocessBackend(ExecutorBackend):
-    """Spawned workers speaking length-prefixed frames over pipes.
-
-    Each worker is a fresh ``python -m repro.core.executor`` process; the
-    parent writes ``("task", batch)`` / ``("stop",)`` frames to its
-    stdin and a per-worker reader thread funnels its stdout frames into
-    one inbox queue.  No shared memory, no inherited state, no
-    multiprocessing machinery — only bytes over a pipe, which is the
-    exact contract a socket to another host would satisfy.
-    """
-
-    name = "subprocess"
-
-    def __init__(self, spec: WorkerSpec) -> None:
-        self.spec = spec
-        self.inbox: queue_module.Queue = queue_module.Queue()
-        self._next_id = 0
-        self._procs: list = []
-
-    def spawn(self) -> _SubprocessHandle:
-        worker_id = self._next_id
-        self._next_id += 1
-        env = dict(os.environ)
-        package_root = str(
-            __import__("pathlib").Path(__file__).resolve().parents[2]
-        )
-        env["PYTHONPATH"] = package_root + os.pathsep + env.get(
-            "PYTHONPATH", ""
-        )
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "repro.core.executor"],
-            stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=None,
-            env=env,
-        )
-        self._procs.append(proc)
-        write_frame(proc.stdin, ("hello", worker_id, self.spec))
-
-        def pump() -> None:
-            while True:
-                message = read_frame(proc.stdout, HANDSHAKE_EPOCH)
-                if message is None:
-                    return
-                self.inbox.put(message)
-
-        reader = threading.Thread(
-            target=pump, name=f"repro-worker-{worker_id}-reader", daemon=True
-        )
-        reader.start()
-        return _SubprocessHandle(worker_id, proc, reader)
-
-    def recv(self, timeout: float) -> tuple | None:
-        try:
-            return self.inbox.get(timeout=timeout)
-        except queue_module.Empty:
-            return None
-
-    def close(self) -> None:
-        for proc in self._procs:
-            if proc.poll() is None:  # pragma: no cover - scheduler joined them
-                proc.kill()
-            for stream in (proc.stdin, proc.stdout):
-                try:
-                    stream.close()
-                except OSError:  # pragma: no cover
-                    pass
-
-
-def _subprocess_worker_main() -> int:
-    """Entry point of one spawned worker (``python -m repro.core.executor``).
-
-    stdin carries frames in (hello, then task/stop), stdout carries
-    frames out; anything that would have printed to stdout is rerouted
-    to stderr so stray prints cannot corrupt the frame stream.
-    """
-    stdin = sys.stdin.buffer
-    stdout = sys.stdout.buffer
-    sys.stdout = sys.stderr
-    hello = read_frame(stdin, HANDSHAKE_EPOCH)
-    if not (isinstance(hello, tuple) and hello and hello[0] == "hello"):
-        return 2
-    _, worker_id, spec = hello
-    stop_event = threading.Event()
-    tasks: queue_module.Queue = queue_module.Queue()
-
-    def reader() -> None:
-        while True:
-            message = read_frame(stdin, HANDSHAKE_EPOCH)
-            if message is None:  # parent died or closed stdin: wind down
-                stop_event.set()
-                tasks.put(None)
-                return
-            if message[0] == "stop":
-                stop_event.set()
-            elif message[0] == "task":
-                tasks.put(message[1])
-
-    threading.Thread(target=reader, daemon=True).start()
-    write_lock = threading.Lock()
-
-    def send(message: tuple) -> None:
-        try:
-            with write_lock:
-                write_frame(stdout, message)
-        except (BrokenPipeError, ValueError, OSError):
-            # The parent is gone; nothing left to report to.
-            os._exit(0)
-
-    worker_loop(
-        worker_id, spec,
-        recv_batch=lambda timeout: tasks.get(timeout=timeout),
-        send=send,
-        stop_flag=stop_event.is_set,
-    )
-    # Skip interpreter finalization: the reader thread may be blocked in
-    # stdin.buffer and would deadlock buffered-IO teardown.
-    try:
-        stdout.flush()
-    except (ValueError, OSError):
-        pass
-    os._exit(0)
-    return 0  # pragma: no cover - unreachable
-
-
-#: Backend registry — the extension point a multi-host backend registers
-#: into.  Names are what ``--backend`` accepts.
-BACKENDS: dict[str, type[ExecutorBackend]] = {
-    MultiprocessingBackend.name: MultiprocessingBackend,
-    SubprocessBackend.name: SubprocessBackend,
-}
-
-#: Every backend ``--backend`` may name, including the socket backend
-#: whose module (:mod:`repro.core.coordinator`) is imported on demand —
-#: workers spawned as ``python -m repro.core.executor`` should not pay
-#: for the TCP machinery they never use.
-ALL_BACKEND_NAMES: tuple[str, ...] = (
-    MultiprocessingBackend.name, SubprocessBackend.name, "socket",
-)
+        for reader in self._pipes:
+            reader.close()
+        self._pipes.clear()
 
 
 def create_backend(
     name: str, spec: WorkerSpec, options: dict | None = None
 ) -> ExecutorBackend:
-    """Instantiate a backend by name.
+    """Instantiate a backend by name (see :data:`BACKEND_NAMES`).
 
     *options* are backend-specific constructor keywords (the socket
     backend's listen address, accept timeout, autospawn switch...); the
-    in-process backends accept none.
+    multiprocessing backend accepts none.
     """
-    if name == "socket" and name not in BACKENDS:
-        from repro.core import coordinator  # noqa: F401 - registers itself
-    try:
-        backend_cls = BACKENDS[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown executor backend {name!r} "
-            f"(available: {', '.join(sorted(set(BACKENDS) | set(ALL_BACKEND_NAMES)))})"
-        ) from None
-    return backend_cls(spec, **(options or {}))
+    if name == "multiprocessing":
+        return MultiprocessingBackend(spec, **(options or {}))
+    if name == "socket":
+        from repro.core.coordinator import SocketBackend
 
-
-if __name__ == "__main__":  # pragma: no cover - exercised via subprocess
-    sys.exit(_subprocess_worker_main())
+        return SocketBackend(spec, **(options or {}))
+    raise ValueError(
+        f"unknown executor backend {name!r} "
+        f"(available: {', '.join(BACKEND_NAMES)})"
+    )

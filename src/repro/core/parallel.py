@@ -10,11 +10,11 @@ results back into the canonical ``config.cells()`` order.
 
 Architecture (one parent, N workers behind a pluggable backend):
 
-* **Pluggable execution backends.**  The scheduler speaks to workers only
+* **Two execution backends.**  The scheduler speaks to workers only
   through the :class:`~repro.core.executor.ExecutorBackend` seam — the
-  in-process multiprocessing pool and the spawned-subprocess backend
-  (length-prefixed frames over pipes) are interchangeable, and a
-  multi-host backend plugs into the same two methods (``spawn``/``recv``).
+  local multiprocessing pool and the TCP socket coordinator
+  (:mod:`repro.core.coordinator`) are interchangeable behind the same
+  two methods (``spawn``/``recv``).
 * **Sharding with workload affinity.**  Cells are grouped by workload and
   groups are handed to workers whole, so a worker builds the expensive
   :class:`~repro.core.campaign.CheckpointedWorkload` snapshot set once per
@@ -23,22 +23,19 @@ Architecture (one parent, N workers behind a pluggable backend):
   :class:`~repro.core.campaign.CampaignStore`; they stream ``CellResult``s
   and mid-cell checkpoints to the parent, which is the only process
   appending to the store journal and the incident journal.
-* **Heartbeats and derived deadlines.**  Workers heartbeat from the
-  per-sample stop probe; a worker with in-flight cells that goes silent
-  past the policy's hang timeout — or blows through a per-cell wall-clock
-  deadline derived from golden-run cycle counts — is escalated:
-  soft-cancel (stop at the next sample, flush a final checkpoint), then
-  kill after a grace period of continued silence, then reschedule from
-  the last streamed checkpoint.
-* **Lease-based cell ownership.**  Every started cell is leased to its
-  worker for a duration calibrated from golden-run cycles
-  (``lease_factor`` × predicted wall, floored); any message from the
-  owner renews its leases.  An expired lease — a partitioned or
-  half-open connection whose heartbeats stopped arriving — forfeits
-  ownership: the cell is reclaimed, journalled as a ``lease-expired``
-  incident, and rescheduled from its last acked checkpoint, while a
-  late duplicate result from the old owner is suppressed by the
-  first-canonical-result-wins rule.  See DESIGN.md §12.
+* **One watchdog: the per-worker lease.**  A worker owes the parent a
+  message while it has been spawned but not yet sent ``ready``, and
+  while it holds dispatched cells; idle workers owe nothing.  Workers
+  heartbeat from the per-sample stop probe, and any message renews the
+  lease, which is ``lease_factor`` × the predicted wall time of one
+  sample (calibrated from golden-run cycles, floored at
+  ``lease_floor``).  A worker that stays silent past its lease — hung,
+  livelocked, or on the far side of a partition — is killed (a socket
+  worker is disconnected), one ``lease-expired`` record is journalled
+  per cell it held, its death is counted as a ``worker-hang`` incident,
+  and each of its cells is rescheduled once from its last streamed
+  checkpoint.  A late duplicate result from the old owner is suppressed
+  by the first-canonical-result-wins rule.  See DESIGN.md §10.
 * **Bounded retry with backoff.**  Every reschedule (crash, hang, lost
   result) is journalled as a structured ``retry`` incident — attempt
   number, backoff delay, cause — and re-dispatched after an exponential
@@ -47,11 +44,6 @@ Architecture (one parent, N workers behind a pluggable backend):
   incident: its last streamed checkpoint becomes its (short) result, the
   missing samples count as lost, and the campaign survives — aborting
   only under ``--strict``/``--max-incidents``.
-* **Straggler speculation.**  When workers idle and one in-flight cell
-  exceeds a multiple of the observed mean cell time, an idle worker
-  re-executes it from the same checkpoint; the first completion wins and
-  duplicates are discarded before the merge (cells are deterministic, so
-  either copy carries the same bytes).
 * **Graceful degradation.**  Worker deaths beyond the restart budget stop
   the respawning: the pool shrinks, and when it reaches zero the parent
   finishes the remaining (non-quarantined) cells serially in-process —
@@ -65,7 +57,7 @@ Architecture (one parent, N workers behind a pluggable backend):
 
 The deterministic chaos harness (:mod:`repro.core.chaos`,
 ``repro-campaign chaos``) injects worker kills, stalls, dropped and
-duplicated queue messages and torn checkpoint writes into this fabric
+duplicated messages and torn checkpoint writes into this fabric
 and asserts the byte-identical-to-serial guarantee survives all of it.
 """
 
@@ -90,7 +82,7 @@ from repro.core.campaign import (
     run_cell,
 )
 from repro.core.avf import ClassCounts
-from repro.core.chaos import ChaosEvent, ChaosSpec
+from repro.core.chaos import ChaosSpec
 from repro.core.executor import (
     CellTask,
     ExecutorBackend,
@@ -108,18 +100,10 @@ from repro.errors import (
 )
 from repro.workloads import get_workload
 
-#: How long the parent waits on the backend before running its liveness /
-#: escalation / retry tick.  Small enough that a crashed worker is noticed
-#: promptly, large enough not to busy-wait.
+#: How long the parent waits on the backend before running its lease /
+#: retry tick.  Small enough that a crashed worker is noticed promptly,
+#: large enough not to busy-wait.
 _POLL_INTERVAL = 0.1
-
-#: Kept for backward compatibility: tests and callers imported the task
-#: type under its old private name.
-_CellTask = CellTask
-
-#: Replacement workers spawned after deaths, per original worker slot
-#: (see :class:`~repro.core.executor.ResiliencePolicy.restarts_per_worker`).
-_RESTARTS_PER_WORKER = ResiliencePolicy().restarts_per_worker
 
 
 def _affinity_batches(tasks: list[CellTask], jobs: int) -> list[list[CellTask]]:
@@ -146,53 +130,35 @@ def _affinity_batches(tasks: list[CellTask], jobs: int) -> list[list[CellTask]]:
     return batches
 
 
-class _DeadlineModel:
-    """Wall-clock deadlines derived from golden-run cycle counts.
+class _RateModel:
+    """Golden-cycles-per-second rate, calibrated from completed cells.
 
-    The scheduler cannot know cycles-per-second a priori, so it
-    calibrates from completed cells: a cell's simulation budget is
-    proportional to ``golden_cycles × samples``, and the observed
-    units-per-second rate turns the budget of an in-flight cell into a
-    predicted wall time.  The deadline is ``deadline_factor`` times that
-    prediction (floored) — generous enough for cache-cold workers, tight
-    enough to catch a livelocked cell that keeps heartbeating.
+    A cell's simulation budget is proportional to ``golden_cycles ×
+    samples``; each completed cell's budget over its wall time is one
+    observed rate, and the model keeps the slowest one seen (cells that
+    pruning made cheap must not shorten everyone's lease).  The
+    predicted wall time of *one sample* of a cell — what the per-worker
+    lease is sized from, since heartbeats arrive once per sample — is
+    its golden cycles over that rate, independent of how many samples a
+    cell has.
     """
 
-    def __init__(self, policy: ResiliencePolicy, samples: int) -> None:
-        self._policy = policy
+    def __init__(self, samples: int) -> None:
         self._samples = max(1, samples)
-        self._units = 0.0
-        self._wall = 0.0
-        self._count = 0
+        self._rate: float | None = None
 
     def record(self, golden_cycles: int | None, wall: float) -> None:
         if golden_cycles is None or wall <= 0:
             return
-        self._units += float(golden_cycles) * self._samples
-        self._wall += wall
-        self._count += 1
+        rate = float(golden_cycles) * self._samples / wall
+        self._rate = rate if self._rate is None else min(self._rate, rate)
 
-    def predict_wall(self, golden_cycles: int) -> float | None:
-        """Predicted wall seconds for a cell, or ``None`` (uncalibrated)."""
-        if self._wall <= 0 or self._units <= 0:
+    def sample_wall(self, golden_cycles: int | None) -> float | None:
+        """Predicted wall seconds of one sample, or ``None``
+        (uncalibrated, or the cell's golden run is not known yet)."""
+        if self._rate is None or golden_cycles is None:
             return None
-        rate = self._units / self._wall
-        return float(golden_cycles) * self._samples / rate
-
-    def predict(self, golden_cycles: int) -> float | None:
-        """Allowed wall seconds for a cell, or ``None`` (uncalibrated)."""
-        predicted = self.predict_wall(golden_cycles)
-        if predicted is None:
-            return None
-        return max(
-            self._policy.deadline_floor,
-            self._policy.deadline_factor * predicted,
-        )
-
-    def mean_wall(self) -> float | None:
-        if self._count == 0:
-            return None
-        return self._wall / self._count
+        return float(golden_cycles) / self._rate
 
 
 class _Scheduler:
@@ -263,14 +229,11 @@ class _Scheduler:
         self.handles: dict[int, WorkerHandle] = {}
         self.assigned: dict[int, list[CellTask]] = {}
         self.retired: set[int] = set()
-        self.cancelled: dict[int, float] = {}
         self.idle: set[int] = set()
-        self.last_seen: dict[int, float] = {}
         self.batches: deque[list[CellTask]] = deque()
         self.retry_heap: list[tuple[float, int, list[CellTask]]] = []
         self._retry_seq = 0
         self.attempts: dict[int, int] = {}
-        self.speculated: set[int] = set()
         self.restarts = 0
         self.max_restarts = jobs * policy.restarts_per_worker
         self.degraded = False
@@ -283,18 +246,13 @@ class _Scheduler:
         }
         self.cell_golden: dict[int, int] = {}
         self.start_times: dict[int, float] = {}
-        self.deadlines: dict[int, float | None] = {}
-        self.running: dict[int, int] = {}
-        # Lease-based cell ownership (the distributed-fabric invariant):
-        # a started cell is *leased* to its worker, the lease renewed by
-        # every message from that worker.  An expired lease — a worker
-        # on the wrong side of a partition, or one whose heartbeats stopped
-        # reaching us — forfeits ownership: the cell is reclaimed and
-        # rescheduled from its last acked checkpoint, and any late result
-        # from the old owner is dropped by first-canonical-result-wins.
+        # The one watchdog: worker id → lease expiry, present exactly
+        # while that worker owes us a message (spawned but not ready, or
+        # holding dispatched cells).  Any message renews it for the
+        # worker's current lease duration.
         self.leases: dict[int, float] = {}
         self.lease_durations: dict[int, float] = {}
-        self.model = _DeadlineModel(policy, config.samples)
+        self.model = _RateModel(config.samples)
 
         # Accounting.
         self.emitted = 0
@@ -398,7 +356,8 @@ class _Scheduler:
             return
         self.handles[handle.worker_id] = handle
         self.assigned[handle.worker_id] = []
-        self.last_seen[handle.worker_id] = time.monotonic()
+        # Owes us "ready".
+        self._grant_lease(handle.worker_id, None, time.monotonic())
         self._counter("exec.workers_spawned")
 
     def _mark_degraded(self, reason: str) -> None:
@@ -430,13 +389,14 @@ class _Scheduler:
     def _retire(self, worker_id: int) -> None:
         self.retired.add(worker_id)
         self.idle.discard(worker_id)
-        self.cancelled.pop(worker_id, None)
+        self.leases.pop(worker_id, None)
 
     # -- failure handling --------------------------------------------------
 
     def _worker_death(self, worker_id: int, kind: str, cause: str) -> None:
-        """A worker died (or was killed after hanging): journal, count,
-        reschedule its in-flight cells, and replace it within budget."""
+        """A worker died (or was killed when its lease expired): journal,
+        count, reschedule its in-flight cells, and replace it within
+        budget."""
         handle = self.handles[worker_id]
         handle.kill()
         handle.join(timeout=1.0)  # reap, so exitcode is real in the record
@@ -446,9 +406,6 @@ class _Scheduler:
             if task.index in self.pending_done
         ]
         self.assigned[worker_id] = []
-        for task in remaining:
-            self.running.pop(task.index, None)
-            self._drop_lease(task.index)
         label = self._cell_label(remaining[0].index) if remaining else "idle"
         # The telemetry a worker accumulated since its last per-cell ship
         # dies with it — count the loss instead of silently absorbing it.
@@ -456,7 +413,7 @@ class _Scheduler:
         self._counter("exec.lost_deltas", lost_deltas)
         verb = (
             f"died with exit code {handle.exitcode()}" if kind == "worker-crash"
-            else "hung (no heartbeat) and was killed"
+            else "went silent past its lease and was killed"
         )
         incident = self._fabric_incident(
             kind,
@@ -578,115 +535,58 @@ class _Scheduler:
             lost=lost,
         )
         self.pending_done.discard(index)
-        self.deadlines.pop(index, None)
-        self.running.pop(index, None)
-        self._drop_lease(index)
         self._emit_progress()
         if self.strict:
             self.abort_exc = InjectionIncident(f"[strict] {incident.message}")
             return
         self._budget_abort(incident.message)
 
-    # -- lease-based cell ownership ----------------------------------------
+    # -- the lease: the fabric's one watchdog -------------------------------
 
-    def _lease_duration(self, golden_cycles: int | None) -> float:
-        """How long a worker may own a cell without the parent hearing
-        from it, calibrated (like deadlines) from golden-run cycles.
+    def _grant_lease(
+        self, worker_id: int, golden_cycles: int | None, now: float
+    ) -> None:
+        """(Re)start *worker_id*'s lease, sized for a cell with
+        *golden_cycles* (``None``: no cell yet, the floor applies)."""
+        duration = self.policy.lease(self.model.sample_wall(golden_cycles))
+        self.lease_durations[worker_id] = duration
+        self.leases[worker_id] = now + duration
 
-        ``lease_factor`` is deliberately generous next to
-        ``deadline_factor``: a lease expiry accuses the *transport*
-        (partition, half-open connection), not the cell, so it should
-        fire only when heartbeats that would have renewed it stopped
-        arriving for many predicted cell-lifetimes.
-        """
-        predicted = (
-            self.model.predict_wall(golden_cycles)
-            if golden_cycles is not None else None
-        )
-        if predicted is None:
-            return self.policy.lease_floor
-        return max(
-            self.policy.lease_floor, self.policy.lease_factor * predicted
-        )
-
-    def _grant_lease(self, index: int, now: float) -> None:
-        duration = self._lease_duration(self.cell_golden.get(index))
-        self.lease_durations[index] = duration
-        self.leases[index] = now + duration
-
-    def _renew_leases(self, worker_id: int, now: float) -> None:
-        """Any message from a worker renews the leases it holds — a
-        heartbeating owner keeps its cells no matter how slow they are
-        (the deadline machinery, not the lease, polices slowness)."""
-        for index, owner in self.running.items():
-            if owner == worker_id and index in self.leases:
-                self.leases[index] = now + self.lease_durations.get(
-                    index, self.policy.lease_floor
-                )
-
-    def _drop_lease(self, index: int) -> None:
-        self.leases.pop(index, None)
-        self.lease_durations.pop(index, None)
-
-    def _reclaim_expired_leases(self, now: float) -> None:
-        for index in [
-            index for index, expiry in self.leases.items() if now > expiry
+    def _expire_leases(self, now: float) -> None:
+        for worker_id in [
+            wid for wid, expiry in self.leases.items() if now > expiry
         ]:
             if self.abort_exc is not None:
                 return
-            if index not in self.pending_done:
-                self._drop_lease(index)
+            self._expire_lease(worker_id, now)
+
+    def _expire_lease(self, worker_id: int, now: float) -> None:
+        """A worker that owed us a message stayed silent past its lease:
+        kill it, journal one ``lease-expired`` record per cell it held,
+        then count its death as a ``worker-hang`` — which reschedules
+        each of those cells once through the ordinary retry path."""
+        self.handles[worker_id].kill()
+        duration = self.lease_durations[worker_id]
+        silence = now - (self.leases[worker_id] - duration)
+        for task in self.assigned[worker_id]:
+            if task.index not in self.pending_done:
                 continue
-            self._reclaim_lease(index, now)
-
-    def _reclaim_lease(self, index: int, now: float) -> None:
-        """An expired lease: take the cell back from its unreachable
-        owner and reschedule it from the last acked checkpoint.
-
-        The old owner is soft-cancelled (escalating to a kill if it
-        stays silent through the grace period); a duplicate result from
-        it racing the retry is suppressed because the first canonical
-        result already cleared ``pending_done``.
-        """
-        owner = self.running.get(index)
-        duration = self.lease_durations.get(index, self.policy.lease_floor)
-        age = now - self.start_times.get(index, now)
-        self._drop_lease(index)
-        self.running.pop(index, None)
-        self.deadlines.pop(index, None)
-        task = CellTask(
-            index=index, workload=self.cells[index][0],
-            component=self.cells[index][1],
-            cardinality=self.cells[index][2], cell_key=self.keys[index],
-            partial=self.live_partials.get(index),
-            attempt=self.attempts.get(index, 0),
-        )
-        if owner is not None:
-            # Strip the cell from the owner's assignment so its eventual
-            # death (or next "ready") cannot reschedule it a second time.
-            self.assigned[owner] = [
-                t for t in self.assigned.get(owner, []) if t.index != index
-            ]
-            handle = self.handles.get(owner)
-            if handle is not None and owner not in self.retired:
-                handle.soft_cancel()
-                self.cancelled.setdefault(owner, now)
-        self._journal_only(self._fabric_incident(
-            "lease-expired", index, "LeaseExpired",
-            f"lease on {self._cell_label(index)} expired after "
-            f"{age:.1f}s (duration {duration:.1f}s; owner "
-            f"{'worker %d' % owner if owner is not None else 'unknown'} "
-            f"unreachable); ownership reclaimed and the cell rescheduled "
-            f"from its last acked checkpoint",
-            {"worker": owner, "age": round(age, 3),
-             "lease": round(duration, 3)},
-        ))
-        self._counter("exec.lease_expired")
-        self._instant(
-            "lease-expired", cell=self._cell_label(index), worker=owner,
-            age=round(age, 3),
-        )
-        self._reschedule([task], cause="lease-expired", worker=owner)
+            self._journal_only(self._fabric_incident(
+                "lease-expired", task.index, "LeaseExpired",
+                f"lease of worker {worker_id} on "
+                f"{self._cell_label(task.index)} expired after "
+                f"{silence:.1f}s of silence (lease {duration:.1f}s); "
+                f"the worker is killed and the cell rescheduled from "
+                f"its last acked checkpoint",
+                {"worker": worker_id, "age": round(silence, 3),
+                 "lease": round(duration, 3)},
+            ))
+            self._counter("exec.lease_expired")
+            self._instant(
+                "lease-expired", cell=self._cell_label(task.index),
+                worker=worker_id, age=round(silence, 3),
+            )
+        self._worker_death(worker_id, "worker-hang", "lease-expired")
 
     # -- dispatch ----------------------------------------------------------
 
@@ -703,6 +603,7 @@ class _Scheduler:
         batch = self._next_batch(time.monotonic())
         if batch is None:
             self.idle.add(worker_id)
+            self.leases.pop(worker_id, None)  # idle workers owe nothing
             return
         batch = [
             task for task in batch if task.index in self.pending_done
@@ -712,104 +613,31 @@ class _Scheduler:
             return
         self.assigned[worker_id] = batch
         self.idle.discard(worker_id)
+        self._grant_lease(
+            worker_id, self.cell_golden.get(batch[0].index), time.monotonic()
+        )
         self.handles[worker_id].send(batch)
 
-    def _speculate(self, now: float) -> None:
-        """Re-execute the worst straggler on an idle worker."""
-        if not (self.policy.speculate and self.idle):
-            return
-        if self.batches or self.retry_heap:
-            return
-        mean = self.model.mean_wall()
-        if mean is None:
-            return
-        threshold = self.policy.straggler_factor * mean
-        candidates = [
-            (now - started, index)
-            for index, started in self.start_times.items()
-            if index in self.pending_done
-            and index not in self.speculated
-            and now - started > threshold
-        ]
-        if not candidates:
-            return
-        _, index = max(candidates)
-        worker_id = min(self.idle)
-        workload, component, cardinality = self.cells[index]
-        task = CellTask(
-            index=index, workload=workload, component=component,
-            cardinality=cardinality, cell_key=self.keys[index],
-            partial=self.live_partials.get(index),
-            attempt=self.attempts.get(index, 0),
-        )
-        self.speculated.add(index)
-        self.idle.discard(worker_id)
-        self.assigned[worker_id] = [task]
-        self.handles[worker_id].send([task])
-        self._counter("exec.speculative")
-        self._instant(
-            "speculate", cell=self._cell_label(index), worker=worker_id,
-        )
-
-    # -- escalation & liveness ---------------------------------------------
+    # -- liveness ----------------------------------------------------------
 
     def _reap_dead(self) -> None:
         for worker_id in list(self.handles):
             if worker_id in self.retired:
                 continue
             if not self.handles[worker_id].alive():
-                self._worker_death(
-                    worker_id,
-                    "worker-hang" if worker_id in self.cancelled
-                    else "worker-crash",
-                    "exit",
-                )
+                self._worker_death(worker_id, "worker-crash", "exit")
                 if self.abort_exc is not None:
                     return
 
     def _tick(self, now: float) -> None:
-        self._reclaim_expired_leases(now)
+        self._expire_leases(now)
         if self.abort_exc is not None:
             return
-        # Hang / deadline escalation: only workers with in-flight cells
-        # owe us heartbeats; idle workers are silent by design.
-        for worker_id in list(self.handles):
-            if worker_id in self.retired:
-                continue
-            handle = self.handles[worker_id]
-            in_flight = [
-                task.index for task in self.assigned[worker_id]
-                if task.index in self.pending_done
-            ]
-            if worker_id in self.cancelled:
-                if now - self.cancelled[worker_id] > self.policy.grace_period:
-                    self._worker_death(worker_id, "worker-hang", "grace")
-                    if self.abort_exc is not None:
-                        return
-                continue
-            if not in_flight:
-                continue
-            silent = now - self.last_seen.get(worker_id, now)
-            over_deadline = any(
-                self.deadlines.get(index) is not None
-                and now > self.deadlines[index]
-                and self.running.get(index) == worker_id
-                for index in in_flight
-            )
-            if silent > self.policy.hang_timeout or over_deadline:
-                handle.soft_cancel()
-                self.cancelled[worker_id] = now
-                self._counter("exec.soft_cancels")
-                self._instant(
-                    "soft-cancel", worker=worker_id,
-                    silent=round(silent, 3), deadline=over_deadline,
-                )
         # Due retries → idle workers.
         while (
             self.idle and self.retry_heap and self.retry_heap[0][0] <= now
         ):
             self._dispatch(self.idle.pop())
-        self._speculate(now)
 
     # -- message handling --------------------------------------------------
 
@@ -837,12 +665,9 @@ class _Scheduler:
     def _handle(self, message: tuple) -> None:
         kind = message[0]
         worker_id = message[1]
-        self.last_seen[worker_id] = time.monotonic()
-        self._renew_leases(worker_id, self.last_seen[worker_id])
-        if worker_id in self.cancelled:
-            # Still responsive: postpone the kill — a cancelled worker
-            # that keeps talking will stop at its next sample boundary.
-            self.cancelled[worker_id] = self.last_seen[worker_id]
+        now = time.monotonic()
+        if worker_id in self.leases:
+            self.leases[worker_id] = now + self.lease_durations[worker_id]
         if kind == "ready":
             if worker_id in self.retired:
                 return
@@ -855,9 +680,6 @@ class _Scheduler:
                 and not self.global_stop
             ]
             self.assigned[worker_id] = []
-            for task in lost:
-                self.running.pop(task.index, None)
-                self._drop_lease(task.index)
             if lost:
                 self._counter("exec.lost_results", len(lost))
                 self._reschedule(
@@ -865,20 +687,13 @@ class _Scheduler:
                 )
                 if self.abort_exc is not None:
                     return
-            if worker_id in self.cancelled:
-                return  # it is about to stop; don't race a new batch
             self._dispatch(worker_id)
         elif kind == "start":
             _, _, index, golden_cycles = message
             self.cell_golden[index] = golden_cycles
-            now = time.monotonic()
             self.start_times[index] = now
-            self.running[index] = worker_id
-            predicted = self.model.predict(golden_cycles)
-            self.deadlines[index] = (
-                now + predicted if predicted is not None else None
-            )
-            self._grant_lease(index, now)
+            if worker_id in self.leases:
+                self._grant_lease(worker_id, golden_cycles, now)
         elif kind == "heartbeat":
             self._counter("exec.heartbeats")
         elif kind == "partial":
@@ -889,20 +704,14 @@ class _Scheduler:
         elif kind == "cell":
             _, _, index, data = message
             if index not in self.pending_done:
-                return  # duplicate from a reschedule or speculation
+                return  # duplicate from a reschedule
             cell = CellResult.from_dict(data)
             self.results[index] = cell
             self.pending_done.discard(index)
             self.live_partials.pop(index, None)
             started = self.start_times.pop(index, None)
             if started is not None:
-                self.model.record(
-                    self.cell_golden.get(index),
-                    time.monotonic() - started,
-                )
-            self.deadlines.pop(index, None)
-            self.running.pop(index, None)
-            self._drop_lease(index)
+                self.model.record(self.cell_golden.get(index), now - started)
             if self.store is not None:
                 self.store.put(self.keys[index], cell)
             done = self._emit_progress()
@@ -939,7 +748,6 @@ class _Scheduler:
                 f"{self._cell_label(index)}: {error_type}: {detail}"
             )
         elif kind == "stopped":
-            was_cancelled = worker_id in self.cancelled
             self._retire(worker_id)
             if self.global_stop:
                 return
@@ -948,17 +756,8 @@ class _Scheduler:
                 if task.index in self.pending_done
             ]
             self.assigned[worker_id] = []
-            for task in remaining:
-                self.running.pop(task.index, None)
-                self._drop_lease(task.index)
             if remaining:
-                self._reschedule(
-                    remaining,
-                    cause="cancelled" if was_cancelled else "stopped",
-                    worker=worker_id,
-                )
-            if was_cancelled and self.abort_exc is None:
-                self._replace_worker()
+                self._reschedule(remaining, cause="stopped", worker=worker_id)
         elif kind == "bye":
             self._retire(worker_id)
 
@@ -1076,7 +875,7 @@ class _Scheduler:
         """Absorb telemetry still queued after every worker has exited.
 
         Deltas for cells that were already merged (raced duplicates from
-        reschedules or speculation) are counted as ``exec.lost_deltas``
+        reschedules) are counted as ``exec.lost_deltas``
         rather than silently dropped — the serial/parallel ``sim.*``
         equality contract only holds for incident-free runs, and the
         counter is how an operator sees why.
@@ -1239,7 +1038,6 @@ def run_campaign_parallel(
     backend_options: dict | None = None,
     policy: ResiliencePolicy | None = None,
     chaos: ChaosSpec | None = None,
-    _crash_spec: dict | None = None,
 ) -> CampaignResult:
     """Run a campaign across *jobs* workers behind an executor backend.
 
@@ -1249,24 +1047,13 @@ def run_campaign_parallel(
     contract (*supervisor*'s journal receives every incident and its
     ``incident_count`` grows), same result — byte-identical JSON.
 
-    *backend* selects the executor backend (see
-    :data:`repro.core.executor.BACKENDS`) and *backend_options* are
-    passed to its constructor (e.g. ``{"host": ..., "port": ...,
-    "autospawn": False}`` for a listening socket coordinator); *policy*
-    tunes the resilience protocol; *chaos* injects deterministic faults
-    into the fabric (see
-    :mod:`repro.core.chaos`).  *_crash_spec* is the legacy test hook:
-    ``{"cell": [w, c, k], "flag": path}`` makes the first worker that
-    reaches that cell die unannounced (now sugar for a one-kill chaos
-    spec).
+    *backend* selects the executor backend (``"multiprocessing"`` or
+    ``"socket"``) and *backend_options* are passed to its constructor
+    (e.g. ``{"host": ..., "port": ..., "autospawn": False}`` for a
+    listening socket coordinator); *policy* tunes the resilience
+    protocol; *chaos* injects deterministic faults into the fabric (see
+    :mod:`repro.core.chaos`).
     """
-    if _crash_spec is not None and chaos is None:
-        workload, component, cardinality = _crash_spec["cell"]
-        chaos = ChaosSpec(events=(ChaosEvent(
-            "kill", workload, component, cardinality, ordinal=0,
-            exit_code=_crash_spec.get("exit_code", 64),
-            flag=_crash_spec["flag"],
-        ),))
     scheduler = _Scheduler(
         config, jobs, progress, store, core_cfg, supervisor,
         checkpoint_every, resume, verify, prune, backend,

@@ -77,14 +77,13 @@ class Incident:
     ``"watchdog"`` for a step-budget trip (simulator livelock), and for
     the parallel executor fabric (see :mod:`repro.core.parallel`):
     ``"worker-crash"`` (a worker process died outright),
-    ``"worker-hang"`` (a silent or over-deadline worker was killed after
-    ignoring a soft cancel), ``"retry"`` (a cell was rescheduled — pure
-    bookkeeping, never counted against the incident budget),
-    ``"lease-expired"`` (a cell's ownership lease ran out because its
-    worker — typically on the wrong side of a network partition — went
-    unreachable; the cell was reclaimed and rescheduled, also pure
-    bookkeeping), ``"poison-cell"`` (a cell exhausted its attempt budget and was
-    quarantined) and ``"degraded"`` (the worker pool shrank to nothing
+    ``"worker-hang"`` (a worker stayed silent past its lease — hung, or
+    unreachable behind a network partition — and was killed),
+    ``"retry"`` (a cell was rescheduled — pure bookkeeping, never
+    counted against the incident budget), ``"lease-expired"`` (one per
+    cell the silent worker held, journalled just before its
+    ``worker-hang``; also pure bookkeeping), ``"poison-cell"`` (a cell
+    exhausted its attempt budget and was quarantined) and ``"degraded"`` (the worker pool shrank to nothing
     and the scheduler fell back to in-process serial execution).
     Fabric incidents carry ``sample_index``/``inject_cycle`` of ``-1``
     and machine-readable context in ``details`` (attempt number, backoff

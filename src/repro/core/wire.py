@@ -1,9 +1,9 @@
-"""Shared frame codec for the executor fabric's byte-stream transports.
+"""Frame codec for the executor fabric's byte-stream transport.
 
-Both the subprocess backend (frames over pipes) and the socket backend
-(frames over TCP, see :mod:`repro.core.coordinator`) speak the same wire
-format, defined here once so a frame written by either side of either
-transport is readable by the other:
+The socket backend (frames over TCP, see :mod:`repro.core.coordinator`)
+carries every message — handshake and worker stream alike — in this
+one wire format, so a frame written by either side is readable by the
+other:
 
     +--------+--------+--------+------------------+
     | length | crc32  | epoch  | pickled payload  |
@@ -13,9 +13,8 @@ transport is readable by the other:
 * **length** bounds the payload; anything above :data:`MAX_FRAME_BYTES`
   means the stream desynchronised and is treated as EOF rather than an
   allocation request.
-* **crc32** is over the payload bytes.  Pipes rarely corrupt data, but a
-  TCP stream crossing real networks, proxies and half-open connections
-  can — and "Memory Vulnerability: A Case for Delaying Error Reporting"
+* **crc32** is over the payload bytes.  A TCP stream crossing real
+  networks, proxies and half-open connections can corrupt data — and "Memory Vulnerability: A Case for Delaying Error Reporting"
   is a standing reminder that a reliability layer without end-to-end
   error detection under it is a story, not a guarantee.  A mismatch is
   EOF, never a crash.

@@ -116,10 +116,10 @@ class WorkerHang(InjectionIncident):
     """A parallel campaign worker stopped making progress.
 
     Raised conceptually (and journalled as kind ``worker-hang``) when a
-    worker with in-flight cells goes silent past the resilience policy's
-    hang timeout, or blows through a cell's wall-clock deadline, and does
-    not respond to a soft cancel within the grace period.  The scheduler
-    kills the worker and reschedules its cells from the last streamed
+    worker that owes the parent a message — it has not yet reported
+    ``ready``, or it holds dispatched cells — stays silent past its
+    lease.  The scheduler kills the worker (disconnects it, for the
+    socket backend) and reschedules its cells from their last streamed
     checkpoint; the exception type exists for ``--strict`` escalation.
     """
 

@@ -3,7 +3,8 @@
 These tests drive :func:`repro.core.chaos.run_chaos` in-process over a
 small grid and assert the fabric's headline guarantee — results and the
 compacted store byte-identical to a serial run — under worker kills,
-stalls, dropped/duplicated messages and torn checkpoint writes, plus the
+stalls (recovered through lease expiry), dropped/duplicated messages
+and torn checkpoint writes, plus the
 quarantine contract for poison cells and the ``exec.lost_deltas``
 telemetry accounting.
 """
@@ -21,7 +22,7 @@ import pytest
 
 from repro import obs
 from repro.core.campaign import CampaignConfig
-from repro.core.chaos import build_spec, run_chaos
+from repro.core.chaos import ChaosEvent, ChaosSpec, build_spec, run_chaos
 from repro.core.executor import ResiliencePolicy
 from repro.core.parallel import run_campaign_parallel
 from repro.core.supervisor import IncidentJournal, Supervisor
@@ -35,16 +36,14 @@ CONFIG = CampaignConfig(
     seed=0,
 )
 
-#: The harness default, minus sleeps: sub-second heartbeats and retries
-#: so escalation happens in test time, speculation off so stalls are
-#: escalated rather than out-raced.
+#: The harness default with faster heartbeats and retries, so recovery
+#: happens in test time.
 POLICY = ResiliencePolicy(
     heartbeat_interval=0.05,
-    hang_timeout=1.0,
-    grace_period=0.5,
+    lease_factor=4.0,
+    lease_floor=3.0,
     retry_base_delay=0.02,
     retry_max_delay=0.2,
-    speculate=False,
 )
 
 
@@ -82,6 +81,8 @@ def test_chaos_matrix_is_byte_identical(tmp_path):
 
 
 def test_chaos_stall_escalates_and_stays_identical(tmp_path):
+    """A stalled worker is caught by the lease, the one watchdog: the
+    journal reads lease-expired, then worker-hang, then retry."""
     report = run_chaos(
         CONFIG, scenarios=("stall",), jobs=2, seed=0,
         workdir=tmp_path, policy=POLICY,
@@ -89,28 +90,32 @@ def test_chaos_stall_escalates_and_stays_identical(tmp_path):
     outcome = report.outcomes[0]
     assert outcome.ok, outcome.detail
     kinds = _kinds(outcome)
-    assert "worker-hang" in kinds  # soft-cancel → kill actually fired
+    assert "lease-expired" in kinds
+    assert "worker-hang" in kinds  # the lease expired and the kill fired
     retry = next(
         incident for incident in outcome.incidents
         if incident.kind == "retry"
     )
     assert retry.details["cause"] == "worker-hang"
+    assert (
+        kinds.index("lease-expired")
+        < kinds.index("worker-hang")
+        < outcome.incidents.index(retry)
+    )
 
 
 def test_chaos_net_matrix_on_socket_backend_is_byte_identical(tmp_path):
     """The distributed failure modes: connection drop mid-cell, partition
     during the checkpoint stream, corrupted frame, stale-epoch rejoin and
     duplicate delivery — every one byte-identical to serial."""
-    # Network faults surface as instant EOF, so hang escalation is not
-    # part of these scenarios — and a tight hang_timeout would misread
-    # slow socket-worker process startup under load as a stall.
+    # Network faults surface as instant EOF, so lease expiry is not part
+    # of these scenarios — and a tight lease would misread a fresh socket
+    # worker's cold golden run under load as a stall.
     policy = ResiliencePolicy(
         heartbeat_interval=0.05,
-        hang_timeout=30.0,
-        grace_period=0.5,
+        lease_floor=30.0,
         retry_base_delay=0.02,
         retry_max_delay=0.2,
-        speculate=False,
     )
     report = run_chaos(
         CONFIG,
@@ -148,24 +153,19 @@ def test_chaos_net_scenarios_refuse_non_socket_backends(tmp_path):
 
 
 def test_expired_lease_is_reclaimed_and_stays_byte_identical(tmp_path):
-    """A worker that stops talking (partition-shaped silence) forfeits
-    its cell lease: the cell is reclaimed, journalled as lease-expired,
-    rescheduled from its last acked checkpoint — and the result bytes
-    never move."""
+    """A worker that stops talking (hang- or partition-shaped silence)
+    outlives its lease: it is killed, each cell it held is journalled as
+    lease-expired and rescheduled from its last acked checkpoint — and
+    the result bytes never move."""
     from repro.core.campaign import run_campaign
 
     serial = run_campaign(CONFIG)
-    # Hang escalation pushed out of reach so the *lease*, not the hang
-    # timeout, is what fires on the stalled worker.
     policy = ResiliencePolicy(
         heartbeat_interval=0.05,
-        hang_timeout=600.0,
-        grace_period=0.5,
         retry_base_delay=0.02,
         retry_max_delay=0.2,
         lease_factor=0.1,
-        lease_floor=1.0,
-        speculate=False,
+        lease_floor=1.5,
     )
     spec = build_spec("stall", CONFIG, 0, tmp_path, stall_duration=30.0)
     supervisor = Supervisor(journal=IncidentJournal())
@@ -179,17 +179,24 @@ def test_expired_lease_is_reclaimed_and_stays_byte_identical(tmp_path):
         incident for incident in supervisor.journal.incidents
         if incident.kind == "lease-expired"
     )
-    assert expired.details["age"] > 0
-    assert expired.details["lease"] >= 1.0
+    assert expired.details["age"] >= policy.lease_floor
+    assert expired.details["lease"] >= policy.lease_floor
+    hang = next(
+        incident for incident in supervisor.journal.incidents
+        if incident.kind == "worker-hang"
+    )
+    assert hang.details["cause"] == "lease-expired"
+    assert hang.details["worker"] == expired.details["worker"]
     retry = next(
         incident for incident in supervisor.journal.incidents
         if incident.kind == "retry"
-        and incident.details["cause"] == "lease-expired"
+        and incident.details["cause"] == "worker-hang"
     )
     assert retry.details["attempt"] >= 1
-    # Lease reclaims are bookkeeping, like retries: journalled, never
-    # counted against the incident budget (the quarantine/crash that
-    # *caused* them is what counts).
+    # Lease-expired records are bookkeeping, like retries: journalled,
+    # never counted against the incident budget — the worker-hang that
+    # follows each expiry is what counts.
+    assert supervisor.incident_count == kinds.count("worker-hang")
     assert result.to_json() == serial.to_json()
 
 
@@ -226,10 +233,10 @@ def test_worker_death_counts_lost_telemetry_deltas(tmp_path):
         supervisor = Supervisor(journal=IncidentJournal())
         run_campaign_parallel(
             CONFIG, jobs=2, supervisor=supervisor,
-            _crash_spec={
-                "cell": ["crc32", "itlb", 1],
-                "flag": str(tmp_path / "crashed.flag"),
-            },
+            chaos=ChaosSpec(events=(ChaosEvent(
+                "kill", "crc32", "itlb", 1,
+                flag=str(tmp_path / "crashed.flag"),
+            ),)),
         )
         crash = supervisor.journal.incidents[0]
         assert crash.kind == "worker-crash"
@@ -250,10 +257,10 @@ def test_retry_incidents_render_in_incidents_cli(tmp_path):
     supervisor = Supervisor(journal=IncidentJournal(journal_path))
     run_campaign_parallel(
         CONFIG, jobs=2, supervisor=supervisor,
-        _crash_spec={
-            "cell": ["crc32", "regfile", 1],
-            "flag": str(tmp_path / "crashed.flag"),
-        },
+        chaos=ChaosSpec(events=(ChaosEvent(
+            "kill", "crc32", "regfile", 1,
+            flag=str(tmp_path / "crashed.flag"),
+        ),)),
     )
     env = dict(os.environ)
     env["PYTHONPATH"] = str(
@@ -280,10 +287,10 @@ def test_incidents_cli_filters_by_type(tmp_path):
     supervisor = Supervisor(journal=IncidentJournal(journal_path))
     run_campaign_parallel(
         CONFIG, jobs=2, supervisor=supervisor,
-        _crash_spec={
-            "cell": ["crc32", "regfile", 1],
-            "flag": str(tmp_path / "crashed.flag"),
-        },
+        chaos=ChaosSpec(events=(ChaosEvent(
+            "kill", "crc32", "regfile", 1,
+            flag=str(tmp_path / "crashed.flag"),
+        ),)),
     )
     env = dict(os.environ)
     env["PYTHONPATH"] = str(

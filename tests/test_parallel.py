@@ -25,7 +25,9 @@ from repro.core.campaign import (
     run_campaign,
     run_cell,
 )
-from repro.core.parallel import _affinity_batches, _CellTask, run_campaign_parallel
+from repro.core.chaos import ChaosEvent, ChaosSpec
+from repro.core.executor import CellTask
+from repro.core.parallel import _affinity_batches, run_campaign_parallel
 from repro.core.supervisor import IncidentJournal, Supervisor
 from repro.errors import (
     CampaignInterrupted,
@@ -75,10 +77,10 @@ def test_worker_crash_is_contained_rescheduled_and_identical(
     store = CampaignStore(tmp_path / "store.json")
     result = run_campaign_parallel(
         GRID, jobs=3, store=store, supervisor=supervisor,
-        _crash_spec={
-            "cell": ["crc32", "itlb", 2],
-            "flag": str(tmp_path / "crashed.flag"),
-        },
+        chaos=ChaosSpec(events=(ChaosEvent(
+            "kill", "crc32", "itlb", 2,
+            flag=str(tmp_path / "crashed.flag"),
+        ),)),
     )
     # The dead worker became an incident; the reschedule is journalled as
     # a bookkeeping "retry" record that never counts against the budget...
@@ -106,10 +108,10 @@ def test_worker_crash_respects_strict(tmp_path):
     with pytest.raises(InjectionIncident, match=r"\[strict\].*died"):
         run_campaign_parallel(
             GRID, jobs=2, supervisor=supervisor,
-            _crash_spec={
-                "cell": ["stringsearch", "regfile", 1],
-                "flag": str(tmp_path / "crashed.flag"),
-            },
+            chaos=ChaosSpec(events=(ChaosEvent(
+                "kill", "stringsearch", "regfile", 1,
+                flag=str(tmp_path / "crashed.flag"),
+            ),)),
         )
 
 
@@ -118,10 +120,10 @@ def test_worker_crash_respects_incident_budget(tmp_path):
     with pytest.raises(IncidentBudgetExceeded):
         run_campaign_parallel(
             GRID, jobs=2, supervisor=supervisor,
-            _crash_spec={
-                "cell": ["stringsearch", "regfile", 1],
-                "flag": str(tmp_path / "crashed.flag"),
-            },
+            chaos=ChaosSpec(events=(ChaosEvent(
+                "kill", "stringsearch", "regfile", 1,
+                flag=str(tmp_path / "crashed.flag"),
+            ),)),
         )
 
 
@@ -159,7 +161,7 @@ def test_parallel_run_on_warm_store_is_pure_cache_hit(
 
 def test_affinity_batches_group_by_workload_and_split_when_needed():
     tasks = [
-        _CellTask(i, w, c, k, f"key{i}", None)
+        CellTask(i, w, c, k, f"key{i}", None)
         for i, (w, c, k) in enumerate(
             (w, c, k)
             for w in ("a", "b")
