@@ -88,7 +88,8 @@ def _run_batch(spec: _BatchSpec) -> dict:
     back for the next one.
     """
     workload = get_workload(spec.workload)
-    golden = golden_run(workload, spec.core_cfg)
+    cores = spec.config.cores
+    golden = golden_run(workload, spec.core_cfg, cores=cores)
     cell_seed = (
         f"{spec.config.seed}:{spec.workload}:{spec.component}:"
         f"{spec.cardinality}"
@@ -102,7 +103,7 @@ def _run_batch(spec: _BatchSpec) -> dict:
         generator.set_rng_state(spec.generator_state)
     if spec.cycle_state is not None:
         cycle_rng.setstate(spec.cycle_state)
-    checkpoints = _checkpoints_for(workload, spec.core_cfg)
+    checkpoints = _checkpoints_for(workload, spec.core_cfg, cores)
     liveness = None
     if spec.prune:
         from repro.core.liveness import liveness_for
@@ -115,7 +116,7 @@ def _run_batch(spec: _BatchSpec) -> dict:
         fault_class, _, _ = run_one_injection(
             workload, spec.component, generator, spec.cardinality,
             inject_cycle, spec.core_cfg, checkpoints=checkpoints,
-            verify=spec.verify, liveness=liveness,
+            verify=spec.verify, liveness=liveness, cores=cores,
         )
         counts.add(fault_class)
         if tel is not None:
@@ -246,13 +247,6 @@ def run_campaign_adaptive(
     """
     if ci_target < 0:
         raise ConfigError(f"ci_target must be >= 0: {ci_target}")
-    if config.cores != 1:
-        # Waves restore from single-core golden-prefix checkpoints, which
-        # have no SMP counterpart; run SMP campaigns with exact replay.
-        raise ConfigError(
-            "adaptive sampling supports single-core campaigns only "
-            f"(cores={config.cores})"
-        )
     tel = obs.active()
     cells = [
         _CellState(workload=w, component=c, cardinality=k)

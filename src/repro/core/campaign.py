@@ -3,10 +3,12 @@
 A campaign sweeps the (workload × component × cardinality) grid; each cell
 runs ``samples`` independent injections:
 
-1. simulate the workload fault-free once (the *golden run*, cached);
-2. per injection: re-simulate to a uniformly random cycle of the golden
-   execution window, flip a freshly drawn fault mask in the live target
-   structure, and run to termination with a 4× golden-cycles budget;
+1. simulate the workload fault-free once (the *golden run*, cached), taking
+   a checkpoint of the machine every :data:`CHECKPOINT_INTERVAL` cycles;
+2. per injection: draw a uniformly random cycle of the golden execution
+   window, restore the latest checkpoint at or before it and simulate up
+   to it, flip a freshly drawn fault mask in the live target structure,
+   and run to termination with a 4× golden-cycles budget;
 3. classify against the golden output (Masked / SDC / Crash / Timeout /
    Assert) and accumulate the cell's :class:`~repro.core.avf.ClassCounts`.
 
@@ -85,66 +87,63 @@ class _BoundedCache:
 
 
 #: Golden results are small (cycle counts + output bytes); checkpoint sets
-#: hold tens of MB of deepcopied systems per workload, so that cache stays
+#: hold a few MB of deepcopied machines per workload, so that cache stays
 #: near the working set of one campaign pass (current + previous workload).
 GOLDEN_CACHE_SIZE = 64
 CHECKPOINT_CACHE_SIZE = 2
+
+#: Simulated cycles between two checkpoints of the golden pass.  A fixed
+#: spacing (rather than a fixed count) lets the pass checkpoint before it
+#: knows how long the run is; the suite's 4k-67k-cycle golden runs get
+#: 1-32 checkpoints.
+CHECKPOINT_INTERVAL = 2048
 
 _GOLDEN_CACHE: _BoundedCache = _BoundedCache(GOLDEN_CACHE_SIZE)
 
 
 def build_system(
     workload: Workload, core_cfg: CoreConfig, cores: int = 1
-):
-    """A fresh machine with *workload* loaded: ``System`` or ``SMPSystem``.
+) -> System:
+    """A fresh *cores*-core machine with *workload* loaded.
 
     Parallel workloads carry one program image for every core count (the
     spawn fallback makes placement architecture-invisible), so the same
     call works for serial workloads at ``cores=1`` and parallel ones at
-    any count.  Both system classes expose the identical run / run_until /
-    injectable_targets / publish_metrics surface the campaign needs.
+    any count.
     """
-    if cores == 1:
-        system = System(core_cfg)
-        system.load(workload.program())
-        return system
-    from repro.cpu.smp import SMPSystem
-
-    system = SMPSystem(core_cfg, cores)
+    system = System(core_cfg, cores)
     system.load(workload.program_for(cores))
     return system
 
 
-def golden_run(
-    workload: Workload,
-    core_cfg: CoreConfig = DEFAULT_CONFIG,
-    max_cycles: int = GOLDEN_MAX_CYCLES,
-    cores: int = 1,
-) -> RunResult:
-    """Fault-free execution of *workload* (cached per workload + platform).
-
-    The result is validated against the workload's independent reference
-    output: a mismatch means the toolchain itself is broken, and no
-    injection campaign on top of it would mean anything.  *cores* selects
-    the SMP machine; parallel workloads produce the same architectural
-    output at every core count, so the reference check is unchanged.  The
-    single-core cache key is exactly the historical one, keeping every
-    existing caller's hits (and bytes) identical.
-    """
-    tel = obs.active()
+def _cache_key(workload: Workload, core_cfg: CoreConfig, cores: int):
+    # The single-core key is exactly the historical one.
     if cores == 1:
-        cache_key = (workload.name, core_cfg)
-    else:
-        cache_key = (workload.name, core_cfg, cores)
-    cached = _GOLDEN_CACHE.get(cache_key)
-    if cached is not None:
-        if tel is not None:
-            tel.metrics.counter("exec.lru.golden.hits").inc()
-        return cached
-    if tel is not None:
-        tel.metrics.counter("exec.lru.golden.misses").inc()
+        return (workload.name, core_cfg)
+    return (workload.name, core_cfg, cores)
+
+
+def _golden_pass(
+    workload: Workload, core_cfg: CoreConfig, cores: int, max_cycles: int
+) -> RunResult:
+    """Simulate *workload* fault-free once; fill both golden caches.
+
+    Every :data:`CHECKPOINT_INTERVAL` cycles the machine that simulated
+    that far is stored as a checkpoint and the pass continues on a deep
+    copy of it: a machine that has been copied *from* simulates measurably
+    slower on CPython, and checkpoints never simulate again.  The result
+    is validated against the workload's independent reference output: a
+    mismatch means the toolchain itself is broken, and no injection
+    campaign on top of it would mean anything.
+    """
     with obs.span("golden-run", workload=workload.name):
         system = build_system(workload, core_cfg, cores)
+        checkpoints: list[tuple[int, System]] = []
+        target = CHECKPOINT_INTERVAL
+        while system.run_until(target, max_cycles):
+            checkpoints.append((system.cycle, system))
+            system = copy.deepcopy(system)
+            target = system.cycle + CHECKPOINT_INTERVAL
         result = system.run(max_cycles=max_cycles)
     if result.status is not RunStatus.FINISHED:
         raise ConfigError(
@@ -156,8 +155,36 @@ def golden_run(
             f"golden run of {workload.name} does not match its reference "
             f"output — toolchain bug"
         )
-    _GOLDEN_CACHE.put(cache_key, result)
+    key = _cache_key(workload, core_cfg, cores)
+    _GOLDEN_CACHE.put(key, result)
+    _CHECKPOINT_CACHE.put(key, CheckpointedWorkload(
+        workload, core_cfg, cores, result, checkpoints,
+    ))
     return result
+
+
+def golden_run(
+    workload: Workload,
+    core_cfg: CoreConfig = DEFAULT_CONFIG,
+    max_cycles: int = GOLDEN_MAX_CYCLES,
+    cores: int = 1,
+) -> RunResult:
+    """Fault-free execution of *workload* (cached per workload + platform).
+
+    A cache miss runs the one golden pass, which also fills the checkpoint
+    cache (see :func:`_golden_pass`).  *cores* selects the machine width;
+    parallel workloads produce the same architectural output at every core
+    count, so the reference check is unchanged.
+    """
+    tel = obs.active()
+    cached = _GOLDEN_CACHE.get(_cache_key(workload, core_cfg, cores))
+    if cached is not None:
+        if tel is not None:
+            tel.metrics.counter("exec.lru.golden.hits").inc()
+        return cached
+    if tel is not None:
+        tel.metrics.counter("exec.lru.golden.misses").inc()
+    return _golden_pass(workload, core_cfg, cores, max_cycles)
 
 
 @dataclass(frozen=True)
@@ -372,40 +399,36 @@ class CheckpointedWorkload:
     """Snapshots of one workload's fault-free execution.
 
     Because the simulator is deterministic and a :class:`System` is a pure
-    object graph, a ``copy.deepcopy`` taken at cycle *c* behaves exactly
-    like a fresh system simulated to cycle *c*.  Campaigns exploit this to
-    skip re-simulating the golden prefix of every injection: cloning a
-    snapshot costs milliseconds, simulating tens of thousands of cycles
-    costs seconds.  Results are bit-identical to the unoptimised path.
+    object graph, a ``copy.deepcopy`` of the machine at cycle *c* behaves
+    exactly like a fresh machine simulated to cycle *c*, at every core
+    count.  Campaigns exploit this to skip re-simulating the golden prefix
+    of every injection: cloning a snapshot costs milliseconds, simulating
+    tens of thousands of cycles costs seconds.  Results are bit-identical
+    to the unoptimised path.  The golden pass builds these (see
+    :func:`_golden_pass`); there is no snapshot at cycle 0, because an
+    injection before the first checkpoint simply builds a fresh machine.
     """
 
     def __init__(
         self,
         workload: Workload,
-        core_cfg: CoreConfig = DEFAULT_CONFIG,
-        snapshots: int = 24,
+        core_cfg: CoreConfig,
+        cores: int,
+        golden: RunResult,
+        checkpoints: list[tuple[int, System]],
     ) -> None:
         self.workload = workload
         self.core_cfg = core_cfg
-        golden = golden_run(workload, core_cfg)
+        self.cores = cores
         self.golden = golden
-        system = System(core_cfg)
-        system.load(workload.program())
-        step = max(1, golden.cycles // snapshots)
-        self._checkpoints: list[tuple[int, System]] = []
-        for target in range(0, golden.cycles, step):
-            if not system.run_until(target, golden.cycles + 1):
-                break  # pragma: no cover - golden run is deterministic
-            self._checkpoints.append((system.cycle, copy.deepcopy(system)))
-        self._cycles = [snap_cycle for snap_cycle, _ in self._checkpoints]
+        self._checkpoints = checkpoints
+        self._cycles = [snap_cycle for snap_cycle, _ in checkpoints]
 
     def system_at(self, cycle: int) -> System:
         """A fresh system advanced to the latest checkpoint <= *cycle*."""
         index = bisect_right(self._cycles, cycle) - 1
         if index < 0:
-            system = System(self.core_cfg)
-            system.load(self.workload.program())
-            return system
+            return build_system(self.workload, self.core_cfg, self.cores)
         return copy.deepcopy(self._checkpoints[index][1])
 
 
@@ -413,20 +436,18 @@ _CHECKPOINT_CACHE: _BoundedCache = _BoundedCache(CHECKPOINT_CACHE_SIZE)
 
 
 def _checkpoints_for(
-    workload: Workload, core_cfg: CoreConfig
+    workload: Workload, core_cfg: CoreConfig, cores: int = 1
 ) -> CheckpointedWorkload:
-    # Keyed by (workload, platform) value, like the golden cache, and
-    # LRU-bounded: campaigns iterate workload-major, and snapshot sets are
-    # tens of MB each across all 15 workloads.
+    # Keyed like the golden cache but far smaller (campaigns iterate
+    # workload-major); a miss after eviction reruns the golden pass.
     tel = obs.active()
-    key = (workload.name, core_cfg)
+    key = _cache_key(workload, core_cfg, cores)
     cached = _CHECKPOINT_CACHE.get(key)
     if cached is None:
         if tel is not None:
             tel.metrics.counter("exec.lru.checkpoint.misses").inc()
-        with obs.span("checkpoint-build", workload=workload.name):
-            cached = CheckpointedWorkload(workload, core_cfg)
-        _CHECKPOINT_CACHE.put(key, cached)
+        _golden_pass(workload, core_cfg, cores, GOLDEN_MAX_CYCLES)
+        cached = _CHECKPOINT_CACHE.get(key)
     elif tel is not None:
         tel.metrics.counter("exec.lru.checkpoint.hits").inc()
     return cached
@@ -467,8 +488,7 @@ def _audit_pruned_sample(
     if checkpoints is not None:
         system = checkpoints.system_at(inject_cycle)
     else:
-        system = System(core_cfg)
-        system.load(workload.program())
+        system = build_system(workload, core_cfg)
     system.run_until(inject_cycle, max_cycles, max_steps=max_steps)
     inject(system, mask)
     result = system.run(max_cycles, max_steps=max_steps)
@@ -497,11 +517,10 @@ def run_one_injection(
 ) -> tuple[FaultClass, RunResult, FaultMask]:
     """One complete injection experiment; see the module docstring.
 
-    *cores* > 1 runs the experiment on an N-core SMP machine (the six
+    *cores* > 1 runs the experiment on an N-core machine (the six
     standard component names alias core 0's private structures plus the
     shared L2, so a cell means the same thing at every core count);
-    checkpoint restore and liveness pruning are single-core services, so
-    SMP injections always resimulate their golden prefix.
+    liveness pruning is a single-core service.
 
     Pass *checkpoints* (see :class:`CheckpointedWorkload`) to skip
     re-simulating the fault-free prefix; the outcome is identical.
@@ -520,10 +539,9 @@ def run_one_injection(
     from the same RNG stream against the recorded geometry, so pruned
     results are byte-identical to unpruned ones.
     """
-    if cores != 1 and (checkpoints is not None or liveness is not None):
+    if cores != 1 and liveness is not None:
         raise ConfigError(
-            "checkpoint restore and liveness pruning are single-core "
-            f"services (cores={cores})"
+            f"liveness pruning is a single-core service (cores={cores})"
         )
     golden = golden_run(workload, core_cfg, cores=cores)
     max_cycles = TIMEOUT_FACTOR * golden.cycles
@@ -722,11 +740,7 @@ def run_cell(
         cluster=config.cluster, mode=config.placement, seed=cell_seed
     )
     cycle_rng = random.Random(f"repro-cycles:{cell_seed}")
-    # Golden-prefix checkpoints deepcopy a single-core System; SMP cells
-    # resimulate the prefix instead (correct, just slower).
-    checkpoints = (
-        _checkpoints_for(workload, core_cfg) if cores == 1 else None
-    )
+    checkpoints = _checkpoints_for(workload, core_cfg, cores)
     liveness = None
     if prune:
         from repro.core.liveness import liveness_for

@@ -85,7 +85,7 @@ def _add_campaign_args(parser: argparse.ArgumentParser) -> None:
         help="simulate an N-core SMP machine sharing one L2 (default 1, "
         "the paper's machine; --cores 1 is byte-identical to omitting "
         "the flag, other counts key their own cache cells; incompatible "
-        "with --prune-masked and --adaptive)",
+        "with --prune-masked)",
     )
     parser.add_argument(
         "--cluster", default="3x3", help="cluster shape ROWSxCOLS"
@@ -342,7 +342,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    from repro.cpu.smp import MAX_CORES
+    from repro.cpu.system import MAX_CORES
 
     if not 1 <= config.cores <= MAX_CORES:
         print(
@@ -351,10 +351,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    if config.cores != 1 and (args.prune_masked or args.adaptive):
+    if config.cores != 1 and args.prune_masked:
         print(
-            "error: --cores > 1 is incompatible with --prune-masked and "
-            "--adaptive (both replay single-core golden state)",
+            "error: --cores > 1 is incompatible with --prune-masked "
+            "(liveness traces do not yet cover coherence-bus reads and "
+            "per-core clocks, so pruning would be unsound)",
             file=sys.stderr,
         )
         return 2

@@ -241,7 +241,7 @@ class Supervisor:
         escalated in ``--strict`` mode.  *liveness* is forwarded to
         :func:`~repro.core.campaign.run_one_injection` for mask pruning;
         a pruner audit failure is a verification incident like any other.
-        *cores* selects the SMP machine; the watchdog budget derives from
+        *cores* selects the machine width; the watchdog budget derives from
         that machine's own golden run, so a slower multi-core schedule
         never trips the step budget spuriously.
         """

@@ -114,11 +114,11 @@ class OutOfOrderCore:
         self.last_commit_cycle = 0
         self.stats = CoreStats()
 
-        #: Which SMP core this pipeline is (0 in the single-core System);
+        #: Which core this pipeline is (0 on a one-core System);
         #: forwarded to the kernel so COREID/SPAWN know the caller.
         self.core_id = 0
         #: Commit-time load revalidation (sequential consistency).  Enabled
-        #: only by the SMP system: a load whose value changed between execute
+        #: only on N-core systems: a load whose value changed between execute
         #: and commit (a remote store won the race) is squashed and replayed,
         #: so committed loads always observe the coherent memory image.
         self.sc_replay_check = False
@@ -155,6 +155,10 @@ class OutOfOrderCore:
         clock stuck, which would otherwise loop forever.  Tripping raises
         :class:`~repro.errors.WatchdogTimeout` (an incident, not a modelled
         fault effect).
+
+        The loop touches only the clock surface (``step``, ``cycle``,
+        ``result``, ``last_commit_cycle``, ``_finish``), which is how the
+        N-core interleaver of :mod:`repro.cpu.system` reuses it.
         """
         deadlock_window = self.cfg.deadlock_window
         steps = 0

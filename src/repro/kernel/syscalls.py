@@ -11,8 +11,8 @@ corrupted value reliably changes the byte stream.
 
 The SMP extension adds a minimal thread story: ``SPAWN`` starts a worker on
 an idle core (returning its core id as the thread id), and ``COREID`` /
-``NCORES`` let a worker find its slice of the work.  On the single-core
-:class:`~repro.cpu.system.System` there is no SMP attached, so ``SPAWN``
+``NCORES`` let a worker find its slice of the work.  On a one-core
+:class:`~repro.cpu.system.System` no machine is attached, so ``SPAWN``
 deterministically fails with ``SPAWN_FAILED`` — programs must be written to
 fall back to doing the work inline (which is exactly what makes a parallel
 workload's output identical at every core count).
@@ -62,8 +62,8 @@ class Kernel:
         self.output_limit = output_limit
         self.exit_code: int | None = None
         self.syscall_count = 0
-        #: Back-reference to the SMP machine (set by SMPSystem); ``None``
-        #: on the single-core System, where SPAWN deterministically fails.
+        #: Back-reference to an N-core System (set by it); ``None`` on a
+        #: one-core System, where SPAWN deterministically fails.
         self.smp = None
 
     def do_syscall(

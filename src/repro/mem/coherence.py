@@ -19,9 +19,10 @@ timing.  All bookkeeping is deterministic, so multi-core golden runs replay
 bit-exactly.
 
 The bus maintains the invariant the verifier audits (see
-``repro.verify.invariants.check_smp``): if any attached cache holds a line
-dirty, no other attached cache holds that line at all, and every clean
-attached copy equals the shared level's view.
+``repro.verify.invariants.InvariantChecker.check_system``): if any
+attached cache holds a line dirty, no other attached cache holds that
+line at all, and every clean attached copy equals the shared level's
+view.
 """
 
 from __future__ import annotations

@@ -231,10 +231,8 @@ def run_smp_differential(
     With *audit* set, additionally audits the final SMP state (coherence
     ownership, per-core caches and TLBs).
     """
-    from repro.cpu.smp import SMPSystem
-
     reference = SMPReferenceExecutor(program, core_cfg, cores)
-    smp = SMPSystem(core_cfg, cores)
+    smp = System(core_cfg, cores)
     smp.load(program)
 
     recent: deque = deque(maxlen=CONTEXT_DEPTH)
@@ -297,7 +295,7 @@ def run_smp_differential(
             )
         if (
             smp.cycle >= max_cycles
-            or smp.cycle - smp._last_commit_cycle() > deadlock_window
+            or smp.cycle - smp.clock.last_commit_cycle > deadlock_window
         ):
             raise _divergence(
                 "terminal state",
@@ -311,13 +309,13 @@ def run_smp_differential(
     # Consume the machine's terminal instruction on the oracle (it never
     # produced a commit record) and compare terminal states.
     if reference.result is None:
-        extra = reference.step_core(smp.result_core)
+        extra = reference.step_core(smp.clock.result_core)
         if extra is not None:
             raise _divergence(
                 "instruction stream",
                 f"the machine terminated ({result.status.name} after "
                 f"{compared[0]} retired instructions) but the oracle "
-                f"still retires more on core {smp.result_core}",
+                f"still retires more on core {smp.clock.result_core}",
                 recent, expected=extra,
             )
     ref_result = reference.result
@@ -325,13 +323,13 @@ def run_smp_differential(
         raise _divergence(
             "terminal state",
             f"machine ended with {result.status.name} but the oracle's "
-            f"core {smp.result_core} has not terminated",
+            f"core {smp.clock.result_core} has not terminated",
             recent,
         )
     _compare_terminal(result, ref_result, recent)
 
     if audit:
-        InvariantChecker().check_smp(smp)
+        InvariantChecker().check_system(smp)
 
     return DifferentialReport(
         committed=compared[0], result=result, reference=ref_result,

@@ -123,16 +123,67 @@ class InvariantChecker:
     # -- whole-system audits (fault-free state only) -------------------------
 
     def check_system(self, system) -> None:
-        """Audit the memory hierarchy of a (fault-free) system.
+        """Audit the memory hierarchy of a (fault-free) machine.
+
+        Every core's caches and TLBs plus the shared L2; on N cores also
+        the coherence invariants of the clean/dirty protocol:
+
+        * **Single-writer** — at most one L1D holds a given line dirty,
+          and when one does, no other L1D holds any copy of that line.
+        * **Clean agreement** — a clean L1D line equals what the shared
+          hierarchy below observes (inherited from :meth:`_audit_cache`).
+        * **Owner-map consistency** — the bus's dirty-owner map points at
+          exactly the caches that actually hold the line dirty.
 
         Meaningful only on uninjected state: a fault-injected dirty or
         clean line legitimately differs from the backing memory — that is
         the effect being studied.
         """
-        for cache in (system.l1d, system.l1i, system.l2):
-            self._audit_cache(cache, system.cycle)
-        for tlb in (system.itlb, system.dtlb):
-            self._audit_tlb(tlb, system.page_table, system.cycle)
+        cycle = system.cycle
+        self._audit_cache(system.l2, cycle)
+        dirty_holders: dict[int, list] = {}
+        holders: dict[int, list] = {}
+        for bundle in system.cores:
+            self._audit_cache(bundle.l1d, cycle)
+            self._audit_cache(bundle.l1i, cycle)
+            self._audit_tlb(bundle.itlb, system.page_table, cycle)
+            self._audit_tlb(bundle.dtlb, system.page_table, cycle)
+            for _idx, line_addr, dirty in bundle.l1d.audit_lines():
+                holders.setdefault(line_addr, []).append(bundle.l1d)
+                if dirty:
+                    dirty_holders.setdefault(line_addr, []).append(bundle.l1d)
+        if system.bus is None:
+            return
+        for line_addr, caches in dirty_holders.items():
+            if len(caches) > 1:
+                names = [c.name for c in caches]
+                raise InvariantViolation(
+                    f"cycle {cycle}: line 0x{line_addr:08x} dirty in "
+                    f"multiple L1Ds: {names}"
+                )
+            copies = holders[line_addr]
+            if len(copies) > 1:
+                names = [c.name for c in copies]
+                raise InvariantViolation(
+                    f"cycle {cycle}: line 0x{line_addr:08x} is dirty in "
+                    f"{caches[0].name} but also cached by {names}"
+                )
+        for line_addr, owner in system.bus.owner.items():
+            actual = dirty_holders.get(line_addr, [])
+            if actual != [owner]:
+                names = [c.name for c in actual]
+                raise InvariantViolation(
+                    f"cycle {cycle}: bus owner map says {owner.name} holds "
+                    f"line 0x{line_addr:08x} dirty, but the dirty holders "
+                    f"are {names}"
+                )
+        for line_addr, caches in dirty_holders.items():
+            if system.bus.owner.get(line_addr) is not caches[0]:
+                raise InvariantViolation(
+                    f"cycle {cycle}: {caches[0].name} holds line "
+                    f"0x{line_addr:08x} dirty but is not the bus's "
+                    f"recorded owner"
+                )
 
     @staticmethod
     def _audit_cache(cache, cycle: int) -> None:
@@ -167,65 +218,6 @@ class InvariantChecker:
                         f"0x{line_addr:08x} that differs from the level "
                         f"below (line index {idx})"
                     )
-
-    def check_smp(self, smp) -> None:
-        """Audit an SMP machine: per-core structures plus coherence state.
-
-        Extends :meth:`check_system` across every core and adds the
-        coherence invariants of the clean/dirty protocol:
-
-        * **Single-writer** — at most one L1D holds a given line dirty,
-          and when one does, no other L1D holds any copy of that line.
-        * **Clean agreement** — a clean L1D line equals what the shared
-          hierarchy below observes (inherited from :meth:`_audit_cache`).
-        * **Owner-map consistency** — the bus's dirty-owner map points at
-          exactly the caches that actually hold the line dirty.
-
-        Like :meth:`check_system`, meaningful only on fault-free state.
-        """
-        cycle = smp.cycle
-        self._audit_cache(smp.l2, cycle)
-        dirty_holders: dict[int, list] = {}
-        holders: dict[int, list] = {}
-        for bundle in smp.cores:
-            self._audit_cache(bundle.l1d, cycle)
-            self._audit_cache(bundle.l1i, cycle)
-            self._audit_tlb(bundle.itlb, smp.page_table, cycle)
-            self._audit_tlb(bundle.dtlb, smp.page_table, cycle)
-            for _idx, line_addr, dirty in bundle.l1d.audit_lines():
-                holders.setdefault(line_addr, []).append(bundle.l1d)
-                if dirty:
-                    dirty_holders.setdefault(line_addr, []).append(bundle.l1d)
-        for line_addr, caches in dirty_holders.items():
-            if len(caches) > 1:
-                names = [c.name for c in caches]
-                raise InvariantViolation(
-                    f"cycle {cycle}: line 0x{line_addr:08x} dirty in "
-                    f"multiple L1Ds: {names}"
-                )
-            copies = holders[line_addr]
-            if len(copies) > 1:
-                names = [c.name for c in copies]
-                raise InvariantViolation(
-                    f"cycle {cycle}: line 0x{line_addr:08x} is dirty in "
-                    f"{caches[0].name} but also cached by {names}"
-                )
-        for line_addr, owner in smp.bus.owner.items():
-            actual = dirty_holders.get(line_addr, [])
-            if actual != [owner]:
-                names = [c.name for c in actual]
-                raise InvariantViolation(
-                    f"cycle {cycle}: bus owner map says {owner.name} holds "
-                    f"line 0x{line_addr:08x} dirty, but the dirty holders "
-                    f"are {names}"
-                )
-        for line_addr, caches in dirty_holders.items():
-            if smp.bus.owner.get(line_addr) is not caches[0]:
-                raise InvariantViolation(
-                    f"cycle {cycle}: {caches[0].name} holds line "
-                    f"0x{line_addr:08x} dirty but is not the bus's "
-                    f"recorded owner"
-                )
 
     @staticmethod
     def _audit_tlb(tlb, page_table, cycle: int) -> None:
@@ -278,12 +270,14 @@ def check_mask_applied(target, mask, before: list[int]) -> None:
 def state_fingerprint(system) -> str:
     """SHA-256 over a system's complete simulated state.
 
-    Covers the core (registers, rename state, in-flight uops, cycle/seq
-    counters), every cache's tag/valid/dirty/data/LRU arrays, both TLBs'
-    packed entries, kernel output/exit state and all of physical memory.
-    Two systems with equal fingerprints are bit-identical for every
-    purpose the campaign cares about; the determinism and checkpoint
-    regression tests compare these across process and restore boundaries.
+    Covers every core (registers, rename state, in-flight uops, cycle/seq
+    counters), every cache's tag/valid/dirty/data/LRU arrays, every TLB's
+    packed entries, kernel output/exit state and all of physical memory;
+    on N cores also the global clock, each core's run/park state and the
+    coherence owner map.  Two systems with equal fingerprints are
+    bit-identical for every purpose the campaign cares about; the
+    determinism and checkpoint regression tests compare these across
+    process and restore boundaries.
     """
     h = hashlib.sha256()
 
@@ -291,18 +285,7 @@ def state_fingerprint(system) -> str:
         h.update(tag.encode())
         h.update(repr(value).encode())
 
-    core = system.core
-    put("cycle", core.cycle)
-    put("seq", core.seq)
-    put("prf", core.prf.values)
-    put("rename", core.rename_map)
-    put("free", list(core.free_list))
-    put("rob", [
-        (u.seq, u.pc, u.state, u.dest, u.old_dest, u.arch_dest)
-        for u in core.rob
-    ])
-
-    for cache in (system.l1d, system.l1i, system.l2):
+    def put_cache(cache) -> None:
         put("cache", cache.name)
         put("tags", cache._tags)
         put("valid", cache._valid)
@@ -311,38 +294,15 @@ def state_fingerprint(system) -> str:
         for line in cache._data:
             h.update(bytes(line))
 
-    for tlb in (system.itlb, system.dtlb):
-        put("tlb", tlb.name)
-        put("packed", tlb.packed)
-
-    put("kout", bytes(system.kernel.output))
-    put("kexit", system.kernel.exit_code)
-    h.update(bytes(system.mem.data))
-    return h.hexdigest()
-
-
-def smp_state_fingerprint(smp) -> str:
-    """SHA-256 over an SMP machine's complete simulated state.
-
-    The multi-core analogue of :func:`state_fingerprint`: every core's
-    pipeline/caches/TLBs (keyed by core id), the shared L2, the coherence
-    owner map, the run/park state of each core, kernel state and physical
-    memory.  Equal fingerprints mean bit-identical machines; the
-    multi-core golden-replay determinism tests compare these across
-    independent runs of the same program.
-    """
-    h = hashlib.sha256()
-
-    def put(tag: str, value) -> None:
-        h.update(tag.encode())
-        h.update(repr(value).encode())
-
-    put("ncores", smp.ncores)
-    put("gcycle", smp.cycle)
-    put("running", smp.running)
-    for bundle in smp.cores:
+    smp = system.ncores > 1
+    if smp:
+        put("ncores", system.ncores)
+        put("gcycle", system.cycle)
+        put("running", system.running)
+    for bundle in system.cores:
         core = bundle.pipe
-        put("core", bundle.core_id)
+        if smp:
+            put("core", bundle.core_id)
         put("cycle", core.cycle)
         put("seq", core.seq)
         put("prf", core.prf.values)
@@ -352,29 +312,19 @@ def smp_state_fingerprint(smp) -> str:
             (u.seq, u.pc, u.state, u.dest, u.old_dest, u.arch_dest)
             for u in core.rob
         ])
-        for cache in (bundle.l1d, bundle.l1i):
-            put("cache", cache.name)
-            put("tags", cache._tags)
-            put("valid", cache._valid)
-            put("dirty", cache._dirty)
-            put("lru", cache._lru)
-            for line in cache._data:
-                h.update(bytes(line))
+        put_cache(bundle.l1d)
+        put_cache(bundle.l1i)
+        if not smp:
+            put_cache(system.l2)
         for tlb in (bundle.itlb, bundle.dtlb):
             put("tlb", tlb.name)
             put("packed", tlb.packed)
-
-    put("cache", smp.l2.name)
-    put("tags", smp.l2._tags)
-    put("valid", smp.l2._valid)
-    put("dirty", smp.l2._dirty)
-    put("lru", smp.l2._lru)
-    for line in smp.l2._data:
-        h.update(bytes(line))
-    put("owner", sorted(
-        (addr, cache.name) for addr, cache in smp.bus.owner.items()
-    ))
-    put("kout", bytes(smp.kernel.output))
-    put("kexit", smp.kernel.exit_code)
-    h.update(bytes(smp.mem.data))
+    if smp:
+        put_cache(system.l2)
+        put("owner", sorted(
+            (addr, cache.name) for addr, cache in system.bus.owner.items()
+        ))
+    put("kout", bytes(system.kernel.output))
+    put("kexit", system.kernel.exit_code)
+    h.update(bytes(system.mem.data))
     return h.hexdigest()

@@ -22,7 +22,7 @@ classifier, but keyed by *consuming core* instead of by terminal status —
 it is what lets a test assert that a shared-L2 flip written by core 1 was
 observed by core 0, which never executed the faulting access.
 
-Determinism of the interleaver (see :mod:`repro.cpu.smp`) is what makes
+Determinism of the interleaver (see :mod:`repro.cpu.system`) is what makes
 the comparison exact: golden and faulty runs retire identical per-core
 traces up to the first architecturally-consumed corrupted byte.
 """
@@ -38,7 +38,7 @@ from repro.errors import ConfigError
 from repro.isa.program import Program
 from repro.kernel.status import RunResult
 from repro.cpu.config import DEFAULT_CONFIG, CoreConfig
-from repro.cpu.smp import SMPSystem
+from repro.cpu.system import System
 
 #: Fault-free cycle budget for the golden trace run.
 GOLDEN_MAX_CYCLES = 50_000_000
@@ -88,7 +88,7 @@ class PropagationReport:
         return self.matrix[core]
 
 
-def _attach_tracers(smp: SMPSystem) -> list[list[TraceEntry]]:
+def _attach_tracers(smp: System) -> list[list[TraceEntry]]:
     """Hook every core's commit stage into a per-core trace list.
 
     ``fresh_pipe`` carries the commit hook across worker respawns, so a
@@ -155,7 +155,7 @@ def run_propagation(
     that *actually holds* a given shared datum at that moment (e.g. via
     ``smp.l2.probe(paddr)``) instead of guessing cache geometry.
     """
-    golden_smp = SMPSystem(core_cfg, cores)
+    golden_smp = System(core_cfg, cores)
     golden_traces = _attach_tracers(golden_smp)
     golden_smp.load(program)
     golden = golden_smp.run(max_cycles)
@@ -167,7 +167,7 @@ def run_propagation(
             f"finished machine"
         )
 
-    faulty_smp = SMPSystem(core_cfg, cores)
+    faulty_smp = System(core_cfg, cores)
     faulty_traces = _attach_tracers(faulty_smp)
     faulty_smp.load(program)
     budget = TIMEOUT_FACTOR * golden.cycles + FAULTY_SLACK_CYCLES

@@ -101,3 +101,17 @@ def test_progress_fires_once_per_cell_in_canonical_order():
 def test_negative_ci_target_rejected():
     with pytest.raises(ConfigError):
         run_campaign_adaptive(_config(), ci_target=-0.1)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_two_core_ci_target_zero_is_byte_identical_to_exact_replay(jobs):
+    # Waves run on the 2-core machine and restore its checkpoints, exactly
+    # like the exact-replay cell does.
+    config = CampaignConfig(
+        workloads=("qsort_p",), components=("l2",), cardinalities=(1,),
+        samples=4, seed=7, cores=2,
+    )
+    exact = run_campaign(config)
+    adaptive = run_campaign_adaptive(config, ci_target=0.0, jobs=jobs)
+    assert adaptive.result.to_json() == exact.to_json()
+    assert adaptive.spent_samples == 4

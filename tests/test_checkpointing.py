@@ -2,22 +2,44 @@
 
 import random
 
+import pytest
+
+from repro.core import campaign as campaign_module
 from repro.core.campaign import (
-    CheckpointedWorkload,
+    _checkpoints_for,
     golden_run,
     run_one_injection,
 )
 from repro.core.generator import MultiBitFaultGenerator
+from repro.cpu.config import DEFAULT_CONFIG
 from repro.kernel.status import RunStatus
 from repro.workloads import get_workload
 
-WORKLOAD = "susan_c"  # small and fast
+WORKLOAD = "susan_c"  # small and fast: 3,998 golden cycles
 
 
-def test_snapshot_resumes_exactly():
+@pytest.fixture
+def dense_checkpoints(monkeypatch):
+    """The golden pass checkpoints every 512 cycles (7 on susan_c).
+
+    Caches are emptied on both sides so no other test sees the denser
+    set (results would be identical, only memory and speed differ).
+    """
+
+    def clear():
+        campaign_module._GOLDEN_CACHE.clear()
+        campaign_module._CHECKPOINT_CACHE.clear()
+
+    clear()
+    monkeypatch.setattr(campaign_module, "CHECKPOINT_INTERVAL", 512)
+    yield lambda workload: _checkpoints_for(workload, DEFAULT_CONFIG)
+    clear()
+
+
+def test_snapshot_resumes_exactly(dense_checkpoints):
     workload = get_workload(WORKLOAD)
     golden = golden_run(workload)
-    checkpoints = CheckpointedWorkload(workload, snapshots=8)
+    checkpoints = dense_checkpoints(workload)
     system = checkpoints.system_at(golden.cycles // 2)
     assert system.cycle <= golden.cycles // 2
     assert system.run_until(golden.cycles // 2, golden.cycles + 10)
@@ -27,18 +49,18 @@ def test_snapshot_resumes_exactly():
     assert result.output == golden.output
 
 
-def test_snapshot_at_cycle_zero_is_fresh_system():
+def test_snapshot_at_cycle_zero_is_fresh_system(dense_checkpoints):
     workload = get_workload(WORKLOAD)
-    checkpoints = CheckpointedWorkload(workload, snapshots=4)
+    checkpoints = dense_checkpoints(workload)
     system = checkpoints.system_at(0)
     assert system.cycle == 0
 
 
-def test_snapshots_are_isolated():
+def test_snapshots_are_isolated(dense_checkpoints):
     """Cloned systems must not share mutable state with the snapshot."""
     workload = get_workload(WORKLOAD)
     golden = golden_run(workload)
-    checkpoints = CheckpointedWorkload(workload, snapshots=4)
+    checkpoints = dense_checkpoints(workload)
     cycle = golden.cycles // 2
     first = checkpoints.system_at(cycle)
     # Wreck the first clone thoroughly.
@@ -53,10 +75,12 @@ def test_snapshots_are_isolated():
     assert result.output == golden.output
 
 
-def test_system_at_bisect_picks_latest_checkpoint_not_after():
+def test_system_at_bisect_picks_latest_checkpoint_not_after(
+    dense_checkpoints,
+):
     workload = get_workload(WORKLOAD)
     golden = golden_run(workload)
-    checkpoints = CheckpointedWorkload(workload, snapshots=8)
+    checkpoints = dense_checkpoints(workload)
     cycles = checkpoints._cycles
     assert cycles == sorted(cycles)
     # Exactly on a snapshot, between snapshots, before the first, past the
@@ -75,8 +99,6 @@ def test_system_at_bisect_picks_latest_checkpoint_not_after():
 
 
 def test_caches_are_keyed_by_config_value_and_bounded():
-    from repro.core import campaign as campaign_module
-    from repro.core.campaign import _checkpoints_for
     from repro.cpu.config import CoreConfig
 
     workload = get_workload(WORKLOAD)
@@ -108,7 +130,7 @@ def test_bounded_cache_evicts_least_recently_used():
     assert len(cache) == 2
 
 
-def test_every_checkpoint_restores_to_fresh_run_state():
+def test_every_checkpoint_restores_to_fresh_run_state(dense_checkpoints):
     """Restoring any checkpoint equals simulating from scratch, bit for bit.
 
     The step function is a pure function of machine state, so the staged
@@ -121,7 +143,7 @@ def test_every_checkpoint_restores_to_fresh_run_state():
 
     workload = get_workload(WORKLOAD)
     golden = golden_run(workload)
-    checkpoints = CheckpointedWorkload(workload, snapshots=6)
+    checkpoints = dense_checkpoints(workload)
     assert checkpoints._cycles, "expected at least one snapshot"
     for cycle in checkpoints._cycles:
         restored = checkpoints.system_at(cycle)
@@ -135,10 +157,10 @@ def test_every_checkpoint_restores_to_fresh_run_state():
         )
 
 
-def test_checkpointed_injection_matches_direct():
+def test_checkpointed_injection_matches_direct(dense_checkpoints):
     workload = get_workload(WORKLOAD)
     golden = golden_run(workload)
-    checkpoints = CheckpointedWorkload(workload, snapshots=8)
+    checkpoints = dense_checkpoints(workload)
     rng = random.Random(77)
     for trial in range(6):
         cycle = rng.randrange(golden.cycles)
@@ -157,3 +179,40 @@ def test_checkpointed_injection_matches_direct():
         assert direct[1].cycles == fast[1].cycles  # same timing
         assert direct[1].output == fast[1].output  # same output
         assert direct[1].status == fast[1].status
+
+
+def test_golden_pass_matches_a_plain_run(dense_checkpoints):
+    """Checkpointing and continuing on copies leaves the golden run as is."""
+    from repro.core.campaign import GOLDEN_MAX_CYCLES, build_system
+
+    workload = get_workload(WORKLOAD)
+    checkpoints = dense_checkpoints(workload)
+    plain = build_system(workload, DEFAULT_CONFIG).run(GOLDEN_MAX_CYCLES)
+    assert checkpoints.golden == plain
+    assert golden_run(workload) is checkpoints.golden
+    assert len(checkpoints._cycles) == 7
+
+
+def test_one_simulation_fills_golden_and_checkpoint_caches(monkeypatch):
+    """golden_run plus a zero-sample cell build exactly one machine."""
+    from repro.core.campaign import CampaignConfig, build_system, run_cell
+
+    built = []
+
+    def counting_build(*args, **kwargs):
+        built.append(args[0].name)
+        return build_system(*args, **kwargs)
+
+    campaign_module._GOLDEN_CACHE.clear()
+    campaign_module._CHECKPOINT_CACHE.clear()
+    monkeypatch.setattr(campaign_module, "build_system", counting_build)
+    workload = get_workload(WORKLOAD)
+    golden_run(workload)
+    run_cell(WORKLOAD, "l1d", 1, CampaignConfig(
+        workloads=(WORKLOAD,), components=("l1d",), cardinalities=(1,),
+        samples=0,
+    ))
+    assert built == [WORKLOAD]
+    assert campaign_module._CHECKPOINT_CACHE.get(
+        (WORKLOAD, DEFAULT_CONFIG)
+    ) is not None

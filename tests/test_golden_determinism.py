@@ -80,13 +80,13 @@ def test_in_process_golden_matches_subprocess():
 SMP_SCRIPT = """
 import json
 from repro.core.campaign import golden_run
-from repro.cpu.smp import SMPSystem
-from repro.verify.invariants import smp_state_fingerprint
+from repro.cpu.system import System
+from repro.verify.invariants import state_fingerprint
 from repro.workloads import get_workload
 
 workload = get_workload("crc32_p")
 golden = golden_run(workload, cores=2)
-smp = SMPSystem(ncores=2)
+smp = System(ncores=2)
 smp.load(workload.program_for(2))
 smp.run(4 * golden.cycles)
 print(json.dumps({
@@ -94,7 +94,7 @@ print(json.dumps({
     "instructions": golden.instructions,
     "output": golden.output.hex(),
     "exit_code": golden.exit_code,
-    "fingerprint": smp_state_fingerprint(smp),
+    "fingerprint": state_fingerprint(smp),
 }, sort_keys=True))
 """
 

@@ -172,12 +172,12 @@ def test_state_fingerprint_discriminates():
 
 def running_smp(cores: int = 2, ready=None):
     """A multi-core system mid-run; by default with a dirty L1D line."""
-    from repro.cpu.smp import SMPSystem
+    from repro.cpu.system import System
     from repro.workloads import get_workload
 
     if ready is None:
         ready = lambda smp: bool(smp.bus.owner)  # noqa: E731
-    smp = SMPSystem(ncores=cores)
+    smp = System(ncores=cores)
     smp.load(get_workload("crc32_p").program_for(cores))
     for _ in range(2_000_000):
         smp.step()
@@ -190,7 +190,7 @@ def running_smp(cores: int = 2, ready=None):
 
 def test_healthy_smp_passes_coherence_audit():
     smp = running_smp()
-    InvariantChecker().check_smp(smp)
+    InvariantChecker().check_system(smp)
 
 
 def test_bus_owner_pointing_at_wrong_cache_detected():
@@ -202,7 +202,7 @@ def test_bus_owner_pointing_at_wrong_cache_detected():
     )
     smp.bus.owner[addr] = other
     with pytest.raises(InvariantViolation, match="owner map"):
-        InvariantChecker().check_smp(smp)
+        InvariantChecker().check_system(smp)
 
 
 def test_phantom_owner_entry_detected():
@@ -210,7 +210,7 @@ def test_phantom_owner_entry_detected():
     # Claim dirty ownership of a line no cache holds dirty.
     smp.bus.owner[0x7FFF_FF80] = smp.cores[0].l1d
     with pytest.raises(InvariantViolation, match="owner map"):
-        InvariantChecker().check_smp(smp)
+        InvariantChecker().check_system(smp)
 
 
 def test_unregistered_dirty_holder_detected():
@@ -218,7 +218,7 @@ def test_unregistered_dirty_holder_detected():
     addr = next(iter(smp.bus.owner))
     del smp.bus.owner[addr]
     with pytest.raises(InvariantViolation, match="owner"):
-        InvariantChecker().check_smp(smp)
+        InvariantChecker().check_system(smp)
 
 
 def test_corrupt_shared_l2_line_detected():
@@ -231,7 +231,7 @@ def test_corrupt_shared_l2_line_detected():
     assert lines, "expected warm clean L2 lines"
     smp.l2.flip_bit(lines[0][0], 0)
     with pytest.raises(InvariantViolation, match="clean line"):
-        InvariantChecker().check_smp(smp)
+        InvariantChecker().check_system(smp)
 
 
 def test_coherence_holds_across_random_interleavings():
@@ -241,34 +241,34 @@ def test_coherence_holds_across_random_interleavings():
     full coherence state (single-writer, clean agreement, owner map)
     every few quanta, from first spawn to termination.
     """
-    from repro.cpu.smp import SMPSystem
+    from repro.cpu.system import System
     from repro.verify.fuzz import SMPProgramFuzzer
 
     checker = InvariantChecker()
     audits = 0
     for seed, cores in ((0, 2), (1, 3), (2, 4)):
         program = SMPProgramFuzzer(seed=seed, length=30, cores=cores).program()
-        smp = SMPSystem(ncores=cores)
+        smp = System(ncores=cores)
         smp.load(program)
         for quantum in range(500_000):
             smp.step()
             if smp.finished:
                 break
             if quantum % 50 == 0:
-                checker.check_smp(smp)
+                checker.check_system(smp)
                 audits += 1
         assert smp.finished, f"fuzz program {seed} did not terminate"
     assert audits > 10
 
 
 def test_smp_fingerprint_discriminates():
-    from repro.verify.invariants import smp_state_fingerprint
+    from repro.verify.invariants import state_fingerprint
 
     a = running_smp()
     b = running_smp()
-    assert smp_state_fingerprint(a) == smp_state_fingerprint(b)
+    assert state_fingerprint(a) == state_fingerprint(b)
     b.step()
-    assert smp_state_fingerprint(a) != smp_state_fingerprint(b)
+    assert state_fingerprint(a) != state_fingerprint(b)
     c = running_smp()
     c.injectable_targets()["c1.regfile"].flip_bit(0, 0)
-    assert smp_state_fingerprint(a) != smp_state_fingerprint(c)
+    assert state_fingerprint(a) != state_fingerprint(c)

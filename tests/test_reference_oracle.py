@@ -293,7 +293,7 @@ def test_amoswap_exchanges_atomically():
 
 def test_smp_oracle_matches_multi_core_machine():
     """Self-scheduled SMP oracle vs the 2-core machine: spawn + amo + join."""
-    from repro.cpu.smp import run_smp_program
+    from repro.cpu.system import run_program
     from repro.verify.reference import SMPReferenceExecutor
 
     source = """
@@ -337,7 +337,7 @@ def test_smp_oracle_matches_multi_core_machine():
     """
     program = assemble(source)
     for cores in (1, 2):
-        machine = run_smp_program(program, ncores=cores)
+        machine = run_program(program, ncores=cores)
         oracle = SMPReferenceExecutor(program, ncores=cores).run()
         # The join spin retires a schedule-dependent number of iterations,
         # so instruction counts are comparable only under external

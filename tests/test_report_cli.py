@@ -134,6 +134,29 @@ def test_cli_run_tiny_campaign(tmp_path, capsys):
     ) == 2
 
 
+def test_cli_adaptive_runs_at_two_cores(tmp_path, capsys):
+    out = tmp_path / "adaptive.json"
+    code = main([
+        "run", "--workloads", "qsort_p", "--components", "l2",
+        "--cardinalities", "1", "--samples", "2", "--seed", "5",
+        "--cores", "2", "--adaptive", "--ci-target", "0",
+        "--out", str(out),
+    ])
+    assert code == 0
+    (cell,) = json.loads(out.read_text())["cells"]
+    assert sum(cell["counts"].values()) == 2
+
+
+def test_cli_rejects_pruning_beyond_one_core(capsys):
+    code = main([
+        "run", "--workloads", "qsort_p", "--samples", "1", "--cores", "2",
+        "--prune-masked",
+    ])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "--prune-masked" in err and "coherence" in err
+
+
 def test_cli_golden_prints_table3(capsys):
     assert main(["golden", "--workloads", "stringsearch"]) == 0
     output = capsys.readouterr().out

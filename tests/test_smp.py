@@ -3,7 +3,7 @@
 The contracts under test (DESIGN.md §13):
 
 * the deterministic-interleaving scheduler makes multi-core runs bit-exact
-  replayable (equal ``smp_state_fingerprint`` across independent runs);
+  replayable (equal ``state_fingerprint`` across independent runs);
 * the thread model (SPAWN/COREID/NCORES + the greedy-spawn fallback) makes
   parallel workloads produce identical architectural output at every core
   count, including 1;
@@ -29,13 +29,13 @@ from repro.core.faults import FaultMask
 from repro.core.generator import MultiBitFaultGenerator
 from repro.core.supervisor import Supervisor
 from repro.cpu.config import DEFAULT_CONFIG
-from repro.cpu.smp import MAX_CORES, SMPSystem, run_smp_program
+from repro.cpu.system import MAX_CORES, System, run_program
 from repro.errors import ConfigError
 from repro.isa.assembler import assemble
 from repro.kernel.status import RunStatus
 from repro.mem.paging import PAGE_SHIFT
 from repro.verify.differential import run_smp_differential, verify_workload
-from repro.verify.invariants import smp_state_fingerprint
+from repro.verify.invariants import state_fingerprint
 from repro.verify.propagation import run_propagation
 from repro.workloads import get_workload
 
@@ -92,27 +92,27 @@ EXPECTED = b"0000002a\n"  # 17 + 25
 
 
 def test_spawn_join_program_runs_on_two_cores():
-    result = run_smp_program(assemble(PRODUCER_CONSUMER), ncores=2)
+    result = run_program(assemble(PRODUCER_CONSUMER), ncores=2)
     assert result.status is RunStatus.FINISHED
     assert result.output == EXPECTED
     assert result.exit_code == 0
 
 
 def test_single_core_spawn_fails_and_falls_back_inline():
-    result = run_smp_program(assemble(PRODUCER_CONSUMER), ncores=1)
+    result = run_program(assemble(PRODUCER_CONSUMER), ncores=1)
     assert result.status is RunStatus.FINISHED
     assert result.output == EXPECTED
 
 
 def test_ncores_bounds_are_enforced():
     with pytest.raises(ConfigError, match="ncores"):
-        SMPSystem(ncores=0)
+        System(ncores=0)
     with pytest.raises(ConfigError, match="ncores"):
-        SMPSystem(ncores=MAX_CORES + 1)
+        System(ncores=MAX_CORES + 1)
 
 
 def test_injectable_targets_alias_core0_plus_shared_l2():
-    smp = SMPSystem(ncores=2)
+    smp = System(ncores=2)
     targets = smp.injectable_targets()
     # The six standard names mean the same cell at every core count.
     assert targets["l2"] is smp.l2
@@ -126,11 +126,11 @@ def test_injectable_targets_alias_core0_plus_shared_l2():
 def test_scheduler_replays_bit_exactly():
     fingerprints = []
     for _ in range(2):
-        smp = SMPSystem(ncores=4)
+        smp = System(ncores=4)
         smp.load(assemble(PRODUCER_CONSUMER))
         result = smp.run(max_cycles=1_000_000)
         assert result.status is RunStatus.FINISHED
-        fingerprints.append(smp_state_fingerprint(smp))
+        fingerprints.append(state_fingerprint(smp))
     assert fingerprints[0] == fingerprints[1]
     assert len(fingerprints[0]) == 64
 
@@ -139,7 +139,7 @@ def test_parallel_workload_output_invariant_across_core_counts():
     workload = get_workload("crc32_p")
     cycles = {}
     for cores in (1, 2, 4):
-        result = run_smp_program(
+        result = run_program(
             workload.program_for(cores), ncores=cores,
         )
         assert result.status is RunStatus.FINISHED
@@ -249,7 +249,43 @@ def test_two_core_supervised_verify_campaign_completes():
     ).cycles
 
 
-def test_smp_cells_reject_pruning_and_checkpoints():
+@pytest.mark.parametrize("name", ["crc32_p", "qsort_p", "fft_p"])
+def test_smp_checkpoints_are_exact(name):
+    """Every 2-core checkpoint equals a fresh machine run to its cycle,
+    and restoring one never changes an injection's outcome."""
+    import random
+
+    from repro.core.campaign import _checkpoints_for, build_system
+
+    workload = get_workload(name)
+    checkpoints = _checkpoints_for(workload, DEFAULT_CONFIG, cores=2)
+    golden = checkpoints.golden
+    assert golden is golden_run(workload, cores=2)
+    assert len(checkpoints._cycles) >= 4
+    fresh = build_system(workload, DEFAULT_CONFIG, 2)
+    for cycle in checkpoints._cycles:
+        assert fresh.run_until(cycle, golden.cycles + 1)
+        restored = checkpoints.system_at(cycle)
+        assert restored.cycle == fresh.cycle == cycle
+        assert state_fingerprint(restored) == state_fingerprint(fresh)
+    assert fresh.run(golden.cycles + 1) == golden
+
+    rng = random.Random(f"smp-checkpoints:{name}")
+    for sample in range(7):
+        component = rng.choice(["l1d", "l1i", "l2", "regfile", "dtlb"])
+        cycle = rng.randrange(golden.cycles)
+        outcomes = [
+            run_one_injection(
+                workload, component,
+                MultiBitFaultGenerator(seed=f"{name}:{sample}"), 2, cycle,
+                checkpoints=restore, cores=2,
+            )
+            for restore in (None, checkpoints)
+        ]
+        assert outcomes[0] == outcomes[1], (component, cycle)
+
+
+def test_smp_cells_reject_pruning():
     config = CampaignConfig(
         workloads=("crc32_p",), components=("l2",), cardinalities=(1,),
         samples=1, cores=2,
@@ -260,5 +296,5 @@ def test_smp_cells_reject_pruning_and_checkpoints():
     generator = MultiBitFaultGenerator(seed="smp-test")
     with pytest.raises(ConfigError, match="single-core"):
         run_one_injection(
-            workload, "l2", generator, 1, 10, checkpoints=object(), cores=2,
+            workload, "l2", generator, 1, 10, liveness=object(), cores=2,
         )
