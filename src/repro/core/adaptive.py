@@ -15,151 +15,75 @@ campaign loop's stopping rule:
   :func:`~repro.core.sampling.required_additional_samples` — until the
   pool is exhausted or every cell meets the target.
 
-Determinism is preserved exactly as in :func:`~repro.core.campaign.run_cell`:
-each cell owns an independently seeded mask generator and cycle RNG whose
-states are carried across waves, so the first *n* samples of a cell are
-identical to the first *n* samples of an exact-replay campaign no matter
-how the waves were scheduled.  Allocation decisions depend only on merged
-per-cell counts, never on timing or worker count, so ``--jobs N`` results
-equal serial results byte-for-byte.  With ``ci_target=0`` the half-width
-(strictly positive for any finite sample) never reaches the target: no
-cell stops early, no budget moves, and the result is byte-identical to
-the exact-replay campaign — the degeneracy the tests pin.
+Each wave is one call of the task runner exact campaigns use
+(:func:`~repro.core.campaign.open_runner`: in-process serially, the
+resilient scheduler of :mod:`repro.core.parallel` at ``jobs > 1``), and
+each grant is a sample-range task taking a cell from *n* samples to
+*n + g*.  A cell's first *n* samples do not depend on how it got there,
+so an adaptive cell after *n* samples *is* the exact-replay cell with
+``samples=n``.  Allocation reads only those counts, so ``--jobs N`` is
+byte-identical to serial, and with ``ci_target=0`` (a half-width no
+finite sample reaches) no cell stops, no budget moves, and the result
+is byte-identical to the exact-replay campaign.
 
-Adaptive cells intentionally have *no* fixed sample count, so they do not
-fit the exact-parameter cache key of :class:`~repro.core.campaign.
-CampaignStore`; the driver therefore runs storeless (the CLI rejects
-``--store``/``--resume`` with ``--adaptive``) and unsupervised.
+The same fact gives adaptive campaigns the store: a finished range is
+stored under the exact-campaign key of ``samples=n + g`` (a cache hit
+for that exact campaign too), and the cell's latest state is its one
+checkpoint, under the cell's own key.  A rerun replays the allocation
+from wave 0, serving every stored range without simulation — so each
+wave's inputs come from stored results only — and resumes each cell's
+first missing range from its checkpoint.  Supervision, the lease,
+retries and quarantine come with the runner; a quarantined cell keeps
+its salvaged counts and gets no further samples.
 """
 
 from __future__ import annotations
 
-import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from repro.core.avf import ClassCounts
 from repro.core.campaign import (
+    DEFAULT_CHECKPOINT_EVERY,
     CampaignConfig,
     CampaignResult,
+    CampaignStore,
+    CellCheckpoint,
     CellResult,
+    CellTask,
     ProgressFn,
-    _checkpoints_for,
-    golden_run,
-    run_one_injection,
+    SupervisorLike,
+    open_runner,
 )
-from repro.core.generator import MultiBitFaultGenerator
 from repro.core.sampling import required_additional_samples, wilson_half_width
 from repro.errors import ConfigError
 from repro import obs
 from repro.cpu.config import DEFAULT_CONFIG, CoreConfig
-from repro.workloads import get_workload
 
 #: Samples per cell per wave.  Small enough that early stopping reacts
 #: within a few percent of the paper's 2,000-sample budget, large enough
-#: that the per-wave overhead (state shipping, pool scheduling) stays
-#: negligible against the simulations themselves.
+#: that the per-wave overhead (one task per cell, one stored range and
+#: end state per task) stays negligible against the simulations
+#: themselves.
 ADAPTIVE_BATCH = 25
-
-
-@dataclass(frozen=True)
-class _BatchSpec:
-    """One picklable unit of work: *count* more samples of one cell."""
-
-    workload: str
-    component: str
-    cardinality: int
-    count: int
-    config: CampaignConfig
-    core_cfg: CoreConfig
-    generator_state: tuple | None
-    cycle_state: tuple | None
-    verify: bool
-    prune: bool
-    telemetry: bool
-
-
-def _run_batch(spec: _BatchSpec) -> dict:
-    """Run one batch against the ambient telemetry (if any).
-
-    Replicates :func:`~repro.core.campaign.run_cell`'s RNG protocol and
-    ``sim.*`` accounting exactly: seeded generator + cycle RNG per cell,
-    states restored when the batch continues an earlier wave and shipped
-    back for the next one.
-    """
-    workload = get_workload(spec.workload)
-    cores = spec.config.cores
-    golden = golden_run(workload, spec.core_cfg, cores=cores)
-    cell_seed = (
-        f"{spec.config.seed}:{spec.workload}:{spec.component}:"
-        f"{spec.cardinality}"
-    )
-    generator = MultiBitFaultGenerator(
-        cluster=spec.config.cluster, mode=spec.config.placement,
-        seed=cell_seed,
-    )
-    cycle_rng = random.Random(f"repro-cycles:{cell_seed}")
-    if spec.generator_state is not None:
-        generator.set_rng_state(spec.generator_state)
-    if spec.cycle_state is not None:
-        cycle_rng.setstate(spec.cycle_state)
-    checkpoints = _checkpoints_for(workload, spec.core_cfg, cores)
-    liveness = None
-    if spec.prune:
-        from repro.core.liveness import liveness_for
-
-        liveness = liveness_for(workload, spec.core_cfg)
-    tel = obs.active()
-    counts = ClassCounts()
-    for _ in range(spec.count):
-        inject_cycle = cycle_rng.randrange(golden.cycles)
-        fault_class, _, _ = run_one_injection(
-            workload, spec.component, generator, spec.cardinality,
-            inject_cycle, spec.core_cfg, checkpoints=checkpoints,
-            verify=spec.verify, liveness=liveness, cores=cores,
-        )
-        counts.add(fault_class)
-        if tel is not None:
-            tel.metrics.counter("sim.class." + fault_class.value).inc()
-            tel.metrics.counter("sim.samples").inc()
-    return {
-        "counts": counts.as_dict(),
-        "generator_state": generator.rng_state(),
-        "cycle_state": cycle_rng.getstate(),
-        "golden_cycles": golden.cycles,
-    }
-
-
-def _run_batch_worker(spec: _BatchSpec) -> dict:
-    """Process-pool entry point: fresh telemetry, delta shipped back.
-
-    Whatever telemetry the worker inherited over ``fork`` belongs to the
-    parent's registry copy and must not double-count, so it is dropped
-    and (when the parent has telemetry) replaced by a fresh instance
-    whose full snapshot *is* the batch's delta.
-    """
-    obs.disable()
-    tel = obs.enable() if spec.telemetry else None
-    try:
-        out = _run_batch(spec)
-        if tel is not None:
-            out["metrics"] = tel.metrics.as_dict()
-        return out
-    finally:
-        obs.disable()
 
 
 @dataclass
 class _CellState:
+    index: int
     workload: str
     component: str
     cardinality: int
+    key: str
     counts: ClassCounts = field(default_factory=ClassCounts)
     samples_done: int = 0
     golden_cycles: int = 0
-    generator_state: tuple | None = None
-    cycle_state: tuple | None = None
+    #: End state of the last range simulated in this run (``None`` after
+    #: a store hit: the runner then looks for the store's checkpoint).
+    state: CellCheckpoint | None = None
+    simulated: bool = False
     early_stopped: bool = False
+    #: No further grants: stopped early, or quarantined.
+    closed: bool = False
     extra_granted: int = 0
 
     def label(self) -> str:
@@ -228,12 +152,19 @@ def run_campaign_adaptive(
     ci_target: float,
     confidence: float = 0.99,
     *,
-    jobs: int = 1,
     progress: ProgressFn | None = None,
     events=None,
+    store: CampaignStore | None = None,
     core_cfg: CoreConfig = DEFAULT_CONFIG,
+    supervisor: SupervisorLike | None = None,
+    checkpoint_every: int | None = DEFAULT_CHECKPOINT_EVERY,
+    resume: bool = True,
+    jobs: int = 1,
     verify: bool = False,
     prune: bool = False,
+    backend: str = "multiprocessing",
+    backend_options: dict | None = None,
+    policy=None,
 ) -> AdaptiveReport:
     """Run a campaign with CI-driven early stopping and reallocation.
 
@@ -241,56 +172,58 @@ def run_campaign_adaptive(
     may stop (0 disables both early stopping and reallocation, making the
     run byte-identical to :func:`~repro.core.campaign.run_campaign`).
     *events*, when given, receives human-readable one-liners about
-    early stops and budget grants.  *jobs* > 1 fans waves out over a
-    process pool; allocation depends only on merged counts, so the result
-    is identical for every job count.
+    early stops and budget grants.  The keyword arguments after *events*
+    mean what they mean for :func:`~repro.core.campaign.run_campaign`;
+    the result is identical for every job count and backend, and a rerun
+    on the same *store* serves every finished range without simulating
+    it.
     """
     if ci_target < 0:
         raise ConfigError(f"ci_target must be >= 0: {ci_target}")
     tel = obs.active()
     cells = [
-        _CellState(workload=w, component=c, cardinality=k)
-        for (w, c, k) in config.cells()
+        _CellState(
+            index=index, workload=w, component=c, cardinality=k,
+            key=config.cell_key(w, c, k, core_cfg),
+        )
+        for index, (w, c, k) in enumerate(config.cells())
     ]
     total = len(cells)
     pool_budget = 0
     done = 0
-    executor = ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else None
+    runner = open_runner(
+        config, core_cfg, jobs=jobs, backend=backend,
+        backend_options=backend_options, policy=policy,
+        store=store, supervisor=supervisor,
+        checkpoint_every=checkpoint_every, resume=resume, verify=verify,
+        prune=prune, keep_state=True,
+    )
+
+    def on_result(index: int, result: CellResult, end) -> None:
+        cell = cells[index]
+        cell.counts = result.counts
+        cell.golden_cycles = result.golden_cycles
+        cell.state = end
+        cell.simulated |= end is not None
 
     def execute_wave(grants: list[tuple[_CellState, int]]) -> None:
-        specs = [
-            _BatchSpec(
-                workload=cell.workload, component=cell.component,
-                cardinality=cell.cardinality, count=count, config=config,
-                core_cfg=core_cfg,
-                generator_state=cell.generator_state,
-                cycle_state=cell.cycle_state,
-                verify=verify, prune=prune,
-                telemetry=tel is not None,
+        runner.run([
+            CellTask(
+                cell.index, cell.workload, cell.component, cell.cardinality,
+                cell.key,
+                cell.state.as_dict() if cell.state is not None else None,
+                cell.samples_done + count,
             )
             for cell, count in grants
-        ]
-        if executor is None:
-            outs = [_run_batch(spec) for spec in specs]
-        else:
-            outs = list(executor.map(_run_batch_worker, specs))
-        # Merge in grant order — grants are built in canonical cell order,
-        # so the merged registry is independent of worker scheduling.
-        for (cell, count), out in zip(grants, outs):
-            cell.counts = cell.counts.merged(
-                ClassCounts.from_dict(out["counts"])
-            )
+        ], on_result)
+        for cell, count in grants:
             cell.samples_done += count
-            cell.golden_cycles = out["golden_cycles"]
-            cell.generator_state = out["generator_state"]
-            cell.cycle_state = out["cycle_state"]
-            if executor is not None and tel is not None:
-                tel.metrics.merge_dict(out.get("metrics", {}))
+            cell.closed |= cell.index in runner.quarantined
 
     def close(cell: _CellState) -> None:
         nonlocal done
         done += 1
-        if tel is not None:
+        if tel is not None and cell.simulated:
             tel.metrics.counter("sim.cells").inc()
         if progress is not None:
             progress(done, total, cell.result())
@@ -302,8 +235,7 @@ def run_campaign_adaptive(
             grants = [
                 (cell, min(ADAPTIVE_BATCH, config.samples - cell.samples_done))
                 for cell in cells
-                if not cell.early_stopped
-                and cell.samples_done < config.samples
+                if not cell.closed and cell.samples_done < config.samples
             ]
             if not grants:
                 break
@@ -311,12 +243,13 @@ def run_campaign_adaptive(
             for cell, _ in grants:
                 if (
                     ci_target > 0
+                    and not cell.closed
                     and cell.samples_done < config.samples
                     and cell.half_width(confidence) <= ci_target
                 ):
                     freed = config.samples - cell.samples_done
                     pool_budget += freed
-                    cell.early_stopped = True
+                    cell.early_stopped = cell.closed = True
                     if events is not None:
                         events(
                             f"[adaptive] {cell.label()} reached "
@@ -329,7 +262,7 @@ def run_campaign_adaptive(
         while ci_target > 0 and pool_budget > 0:
             unmet = [
                 cell for cell in cells
-                if not cell.early_stopped
+                if not cell.closed
                 and cell.half_width(confidence) > ci_target
             ]
             if not unmet:
@@ -359,8 +292,7 @@ def run_campaign_adaptive(
                 events(f"[adaptive] reallocating: {granted}")
             execute_wave(grants)
     finally:
-        if executor is not None:
-            executor.shutdown()
+        runner.close()
 
     for cell in cells:
         if not cell.early_stopped:
@@ -379,7 +311,9 @@ def run_campaign_adaptive(
             tel.metrics.gauge(
                 "adaptive.samples." + cell.label()
             ).set(cell.samples_done)
-    result = CampaignResult(cell.result() for cell in cells)
+    result = CampaignResult(
+        (cell.result() for cell in cells), incidents=runner.incidents,
+    )
     spent = sum(cell.samples_done for cell in cells)
     return AdaptiveReport(
         result=result,

@@ -21,6 +21,8 @@ harnesses share one set of simulations.
 from __future__ import annotations
 
 import copy
+import dataclasses
+import functools
 import hashlib
 import json
 import random
@@ -231,8 +233,6 @@ class CampaignConfig:
         share cache entries with — and stay byte-identical to — a plain
         run.
         """
-        import dataclasses
-
         from repro.mem.paging import PAGE_SHIFT
 
         platform_cfg = dataclasses.replace(core_cfg, check_invariants=False)
@@ -680,23 +680,31 @@ class CellCheckpoint:
 DEFAULT_CHECKPOINT_EVERY = 250
 
 
-def run_cell(
+def run_cell_range(
     workload_name: str,
     component: str,
     cardinality: int,
     config: CampaignConfig,
     core_cfg: CoreConfig = DEFAULT_CONFIG,
     *,
+    samples: int | None = None,
+    start: CellCheckpoint | None = None,
     supervisor: "SupervisorLike | None" = None,
-    store: "CampaignStore | None" = None,
-    cell_key: str | None = None,
+    save: Callable[[CellCheckpoint], None] | None = None,
     checkpoint_every: int | None = DEFAULT_CHECKPOINT_EVERY,
-    resume: bool = True,
     stop: Callable[[], bool] | None = None,
     verify: bool = False,
     prune: bool = False,
-) -> CellResult:
-    """Run all of one cell's injections.
+) -> tuple[CellResult, CellCheckpoint]:
+    """Run one cell's injections up to sample *samples* (default
+    ``config.samples``); return its result and its end state.
+
+    A cell's first *n* samples are the same whatever *samples* is: the
+    cell seeds its mask generator and cycle RNG from the config and cell
+    alone, so stopping at *n* and later continuing from the end state
+    (a :class:`CellCheckpoint` passed back as *start*) draws exactly the
+    cycles and masks of one uninterrupted run to the later target.  A
+    *start* beyond the target is ignored.
 
     With *verify*, the workload's fault-free run is first cross-checked in
     lock step against the ISA-level reference oracle (cached per workload +
@@ -710,13 +718,12 @@ def run_cell(
     the ordinary path.  Pruning is conservative by construction, so the
     cell's counts are byte-identical to an unpruned run's — only faster.
 
-    With *store* and *cell_key*, mid-cell progress is checkpointed every
-    *checkpoint_every* samples and (when *resume* is true) picked up again
-    on the next call, reproducing the uninterrupted result bit-for-bit.
+    With *save*, mid-cell progress is checkpointed (handed to *save*)
+    every *checkpoint_every* samples.
     With *supervisor*, each injection runs inside its isolation boundary:
     infra failures become journalled incidents instead of aborting the cell
     (such samples are dropped from the histogram — they are not fault
-    effects, so ``counts.total`` may be less than ``config.samples``).
+    effects, so ``counts.total`` may be less than the target).
     *stop* is probed between samples; when it returns true the cell flushes
     one final checkpoint (so a later resume is bit-identical) and raises
     :class:`~repro.errors.CampaignInterrupted` — the graceful-drain hook of
@@ -724,6 +731,7 @@ def run_cell(
     """
     tel = obs.active()
     cores = config.cores
+    target = config.samples if samples is None else samples
     if cores != 1 and prune:
         raise ConfigError(
             "liveness pruning traces a single-core golden run; "
@@ -751,28 +759,30 @@ def run_cell(
         cardinality=cardinality,
     )
     counts = ClassCounts()
-    start = 0
-    if store is not None and cell_key is not None and resume:
-        partial = store.get_partial(cell_key)
-        if partial is not None and partial.samples_done <= config.samples:
-            counts = partial.counts
-            start = partial.samples_done
-            cycle_rng.setstate(partial.cycle_rng_state)
-            generator.set_rng_state(partial.generator_rng_state)
+    first = 0
+    if start is not None and start.samples_done <= target:
+        counts = start.counts
+        first = start.samples_done
+        cycle_rng.setstate(start.cycle_rng_state)
+        generator.set_rng_state(start.generator_rng_state)
+
+    def state(done: int) -> CellCheckpoint:
+        return CellCheckpoint(
+            samples_done=done,
+            counts=counts,
+            cycle_rng_state=cycle_rng.getstate(),
+            generator_rng_state=generator.rng_state(),
+            golden_cycles=golden.cycles,
+        )
+
     with cell_span:
-        for index in range(start, config.samples):
+        for index in range(first, target):
             if stop is not None and stop():
-                if store is not None and cell_key is not None and index > start:
-                    store.put_partial(cell_key, CellCheckpoint(
-                        samples_done=index,
-                        counts=counts,
-                        cycle_rng_state=cycle_rng.getstate(),
-                        generator_rng_state=generator.rng_state(),
-                        golden_cycles=golden.cycles,
-                    ))
+                if save is not None and index > first:
+                    save(state(index))
                 raise CampaignInterrupted(
                     f"stopped {workload_name}/{component}/{cardinality}-bit at "
-                    f"sample {index}/{config.samples}"
+                    f"sample {index}/{target}"
                 )
             inject_cycle = cycle_rng.randrange(golden.cycles)
             if supervisor is not None:
@@ -800,37 +810,62 @@ def run_cell(
                 tel.metrics.counter("sim.samples").inc()
             done = index + 1
             if (
-                store is not None
-                and cell_key is not None
+                save is not None
                 and checkpoint_every
                 and done % checkpoint_every == 0
-                and done < config.samples
+                and done < target
             ):
-                store.put_partial(cell_key, CellCheckpoint(
-                    samples_done=done,
-                    counts=counts,
-                    cycle_rng_state=cycle_rng.getstate(),
-                    generator_rng_state=generator.rng_state(),
-                    golden_cycles=golden.cycles,
-                ))
+                save(state(done))
                 if tel is not None:
                     tel.metrics.counter("exec.checkpoints_written").inc()
-    if tel is not None:
-        tel.metrics.counter("sim.cells").inc()
-    return CellResult(
+    result = CellResult(
         workload=workload_name,
         component=component,
         cardinality=cardinality,
         counts=counts,
         golden_cycles=golden.cycles,
     )
+    return result, state(target)
+
+
+def run_cell(
+    workload_name: str,
+    component: str,
+    cardinality: int,
+    config: CampaignConfig,
+    core_cfg: CoreConfig = DEFAULT_CONFIG,
+    *,
+    store: "CampaignStore | None" = None,
+    cell_key: str | None = None,
+    resume: bool = True,
+    **options,
+) -> CellResult:
+    """All of one cell's samples: :func:`run_cell_range` to
+    ``config.samples``, checkpointing into *store* under *cell_key* and
+    continuing (when *resume* is true) from the checkpoint it holds there,
+    which reproduces the uninterrupted result bit-for-bit.  *options* are
+    :func:`run_cell_range`'s."""
+    start = save = None
+    if store is not None and cell_key is not None:
+        save = functools.partial(store.put_partial, cell_key)
+        if resume:
+            start = store.get_partial(cell_key)
+    return run_cell_range(
+        workload_name, component, cardinality, config, core_cfg,
+        start=start, save=save, **options,
+    )[0]
 
 
 ProgressFn = Callable[[int, int, CellResult], None]
 
+#: ``on_result(index, cell, end)``: a task finished.  *end* is the cell's
+#: state at the task's target, or ``None`` for a store hit or a
+#: quarantined cell (see :attr:`SerialRunner.quarantined`).
+ResultFn = Callable[[int, CellResult, "CellCheckpoint | None"], None]
+
 
 class SupervisorLike:
-    """Interface :func:`run_cell` expects of a supervisor (duck-typed).
+    """Interface :func:`run_cell_range` expects of a supervisor (duck-typed).
 
     The real implementation lives in :mod:`repro.core.supervisor`; this
     stub only documents the contract and keeps campaign.py import-free of
@@ -839,6 +874,198 @@ class SupervisorLike:
 
     def run_injection(self, *args, **kwargs) -> FaultClass | None:
         raise NotImplementedError  # pragma: no cover
+
+
+@dataclass(frozen=True)
+class CellTask:
+    """One cell's marching orders: run it from *partial* to *samples*.
+
+    Exact campaigns give every cell one task with ``samples ==
+    config.samples``; adaptive campaigns give a cell one task per wave,
+    each taking it from its last state to a later target.  *cell_key* is
+    the cell's key under the campaign config, where its mid-cell
+    checkpoints live; the finished task is stored under the key of the
+    same config at ``samples`` (see :meth:`SerialRunner.range_key`),
+    which is *cell_key* itself for an exact campaign.
+    """
+
+    index: int  # position in config.cells() — the merge key
+    workload: str
+    component: str
+    cardinality: int
+    cell_key: str
+    partial: dict | None  # serialised CellCheckpoint to resume from
+    samples: int  # the target: run the cell up to this sample
+    attempt: int = 0  # 0 on first dispatch; >0 on retries
+
+    @property
+    def start(self) -> int:
+        """The sample this task starts from."""
+        return self.partial["samples_done"] if self.partial is not None else 0
+
+
+@dataclass(eq=False)
+class SerialRunner:
+    """Runs cell tasks in-process, one after another.
+
+    The one task runner every campaign uses: :func:`run_campaign` hands
+    it all cells at once, :mod:`repro.core.adaptive` one wave at a time.
+    The parallel scheduler (:mod:`repro.core.parallel`) is a subclass
+    that fans tasks out over workers and falls back to this class's
+    in-process path when its pool dies.  Either way, :meth:`run` serves
+    every task whose finished range the store already holds without
+    simulating it, resumes every other from the furthest checkpoint it
+    can find (the task's own, or with *resume* the store's), and stores
+    each finished range.  With *keep_state*, the end state of every
+    finished range is also stored as the cell's checkpoint, so a later
+    range of the same cell can resume from it.
+    """
+
+    config: CampaignConfig
+    core_cfg: CoreConfig = DEFAULT_CONFIG
+    _: dataclasses.KW_ONLY
+    store: "CampaignStore | None" = None
+    supervisor: "SupervisorLike | None" = None
+    checkpoint_every: int | None = DEFAULT_CHECKPOINT_EVERY
+    resume: bool = True
+    verify: bool = False
+    prune: bool = False
+    keep_state: bool = False
+    #: Indices of cells quarantined as poison (parallel runs only).
+    quarantined: set[int] = field(default_factory=set, init=False)
+
+    @property
+    def incidents(self) -> int:
+        """Samples lost to contained incidents so far."""
+        if self.supervisor is None:
+            return 0
+        return self.supervisor.incident_count
+
+    def range_key(self, task: CellTask) -> str:
+        """Store key of *task*'s finished range: the key of the exact
+        campaign that stops every cell at ``task.samples``."""
+        return dataclasses.replace(self.config, samples=task.samples).cell_key(
+            task.workload, task.component, task.cardinality, self.core_cfg,
+        )
+
+    def _prepare(self, tasks: list[CellTask], on_result: ResultFn) -> list[CellTask]:
+        """Serve store hits; give every miss its furthest start."""
+        misses = []
+        for task in tasks:
+            cached = (
+                self.store.get(self.range_key(task))
+                if self.store is not None else None
+            )
+            if cached is not None:
+                on_result(task.index, cached, None)
+                continue
+            if self.store is not None and self.resume:
+                stored = self.store.get_partial(task.cell_key)
+                if (
+                    stored is not None
+                    and task.start < stored.samples_done <= task.samples
+                ):
+                    task = dataclasses.replace(task, partial=stored.as_dict())
+            misses.append(task)
+        return misses
+
+    def _finish(
+        self, task: CellTask, cell: CellResult, end: CellCheckpoint,
+        on_result: ResultFn,
+    ) -> None:
+        if self.store is not None:
+            self.store.put(self.range_key(task), cell)
+            if self.keep_state:
+                self.store.put_partial(task.cell_key, end)
+        on_result(task.index, cell, end)
+
+    def _run_here(self, task: CellTask, on_result: ResultFn) -> None:
+        cell, end = run_cell_range(
+            task.workload, task.component, task.cardinality,
+            self.config, self.core_cfg, samples=task.samples,
+            start=(
+                CellCheckpoint.from_dict(task.partial)
+                if task.partial is not None else None
+            ),
+            supervisor=self.supervisor,
+            save=(
+                functools.partial(self.store.put_partial, task.cell_key)
+                if self.store is not None else None
+            ),
+            checkpoint_every=self.checkpoint_every,
+            verify=self.verify, prune=self.prune,
+        )
+        self._finish(task, cell, end, on_result)
+
+    def run(self, tasks: list[CellTask], on_result: ResultFn) -> None:
+        """Run *tasks* (at most one per cell); *on_result* hears each."""
+        for task in self._prepare(tasks, on_result):
+            self._run_here(task, on_result)
+
+    def close(self) -> None:
+        """Release whatever the runner holds (nothing, serially)."""
+
+
+def open_runner(
+    config: CampaignConfig,
+    core_cfg: CoreConfig = DEFAULT_CONFIG,
+    *,
+    jobs: int = 1,
+    backend: str = "multiprocessing",
+    backend_options: dict | None = None,
+    policy=None,
+    **options,
+) -> SerialRunner:
+    """The task runner for *jobs*: in-process for 1, else the parallel
+    scheduler over *backend* (*backend_options* and *policy* only matter
+    there).  *options* are the runner's."""
+    if jobs > 1:
+        from repro.core.parallel import _Scheduler
+
+        return _Scheduler(
+            config, core_cfg, jobs=jobs, backend=backend,
+            backend_options=backend_options, policy=policy, **options,
+        )
+    return SerialRunner(config, core_cfg, **options)
+
+
+def drive_campaign(
+    config: CampaignConfig,
+    runner: SerialRunner,
+    progress: ProgressFn | None = None,
+) -> CampaignResult:
+    """Run every cell of *config* to ``config.samples`` on *runner*, then
+    close it.  *progress* fires once per cell, in canonical order."""
+    cells = config.cells()
+    results: dict[int, CellResult] = {}
+    emitted = 0
+    tel = obs.active()
+
+    def on_result(index: int, cell: CellResult, end) -> None:
+        nonlocal emitted
+        results[index] = cell
+        if end is not None and tel is not None:
+            tel.metrics.counter("sim.cells").inc()
+        while emitted in results:
+            if progress is not None:
+                progress(emitted + 1, len(cells), results[emitted])
+            emitted += 1
+
+    try:
+        runner.run([
+            CellTask(
+                index, workload, component, cardinality,
+                config.cell_key(workload, component, cardinality, runner.core_cfg),
+                None, config.samples,
+            )
+            for index, (workload, component, cardinality) in enumerate(cells)
+        ], on_result)
+    finally:
+        runner.close()
+    return CampaignResult(
+        [results[index] for index in range(len(cells))],
+        incidents=runner.incidents,
+    )
 
 
 def run_campaign(
@@ -869,37 +1096,16 @@ def run_campaign(
     on the oracle cross-checks of :func:`run_cell` for every cell; results
     stay byte-identical to a non-verify run.  *prune* turns on liveness
     mask pruning (see :func:`run_cell`); results again stay byte-identical,
-    which is why neither flag enters the cell cache key.
+    which is why neither flag enters the cell cache key.  Cells the store
+    already holds are served without simulation; with *resume*, the
+    others continue from the store's mid-cell checkpoints.
     """
-    if jobs > 1:
-        from repro.core.parallel import run_campaign_parallel
-
-        return run_campaign_parallel(
-            config, jobs=jobs, progress=progress, store=store,
-            core_cfg=core_cfg, supervisor=supervisor,
-            checkpoint_every=checkpoint_every, resume=resume,
-            verify=verify, prune=prune, backend=backend,
-            backend_options=backend_options, policy=policy,
-        )
-    cells = config.cells()
-    results: list[CellResult] = []
-    for index, (workload, component, cardinality) in enumerate(cells):
-        key = config.cell_key(workload, component, cardinality, core_cfg)
-        cached = store.get(key) if store is not None else None
-        if cached is None:
-            cached = run_cell(
-                workload, component, cardinality, config, core_cfg,
-                supervisor=supervisor, store=store, cell_key=key,
-                checkpoint_every=checkpoint_every, resume=resume,
-                verify=verify, prune=prune,
-            )
-            if store is not None:
-                store.put(key, cached)
-        results.append(cached)
-        if progress is not None:
-            progress(index + 1, len(cells), cached)
-    incidents = supervisor.incident_count if supervisor is not None else 0
-    return CampaignResult(results, incidents=incidents)
+    return drive_campaign(config, open_runner(
+        config, core_cfg, jobs=jobs, backend=backend,
+        backend_options=backend_options, policy=policy, store=store,
+        supervisor=supervisor, checkpoint_every=checkpoint_every,
+        resume=resume, verify=verify, prune=prune,
+    ), progress)
 
 
 #: On-disk store schema.  Version 1 was a bare ``{key: cell}`` mapping

@@ -197,7 +197,8 @@ def _add_campaign_args(parser: argparse.ArgumentParser) -> None:
         help="stop each cell early once its AVF confidence interval "
         "reaches --ci-target and reallocate the freed samples to the "
         "widest intervals; --samples becomes a per-cell budget ceiling "
-        "(incompatible with --store/--resume; runs unsupervised)",
+        "(with --store, finished waves are cached and --resume continues "
+        "an interrupted run bit-identically)",
     )
     parser.add_argument(
         "--ci-target", type=float, default=0.02, metavar="E",
@@ -359,15 +360,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    if args.adaptive and (args.store or args.resume):
-        # Adaptive cells have no fixed sample count, so they cannot share
-        # the store's exact-parameter cache keys.
-        print(
-            "error: --adaptive is incompatible with --store/--resume "
-            "(adaptive cells have no fixed sample count to cache under)",
-            file=sys.stderr,
-        )
-        return 2
     store = CampaignStore(args.store) if args.store else None
     if store is not None and store.quarantined is not None:
         print(
@@ -402,16 +394,22 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
         core_cfg = replace(DEFAULT_CONFIG, check_invariants=True)
 
+    options = dict(
+        progress=progress, store=store, core_cfg=core_cfg,
+        supervisor=supervisor,
+        checkpoint_every=args.checkpoint_every or None,
+        resume=args.resume, jobs=args.jobs, verify=args.verify,
+        prune=args.prune_masked, backend=args.backend,
+        backend_options=backend_options, policy=policy,
+    )
     try:
         if args.adaptive:
             from repro.core.adaptive import run_campaign_adaptive
 
             adaptive = run_campaign_adaptive(
                 config, args.ci_target,
-                jobs=args.jobs, progress=progress,
                 events=lambda message: print(message, file=sys.stderr),
-                core_cfg=core_cfg,
-                verify=args.verify, prune=args.prune_masked,
+                **options,
             )
             result = adaptive.result
             print(
@@ -421,19 +419,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
         else:
-            result = run_campaign(
-                config, progress=progress, store=store,
-                core_cfg=core_cfg,
-                supervisor=supervisor,
-                checkpoint_every=args.checkpoint_every or None,
-                resume=args.resume,
-                jobs=args.jobs,
-                verify=args.verify,
-                prune=args.prune_masked,
-                backend=args.backend,
-                backend_options=backend_options,
-                policy=policy,
-            )
+            result = run_campaign(config, **options)
     except InjectionIncident as exc:
         print(f"campaign aborted: {exc}", file=sys.stderr)
         if journal.path is not None:

@@ -24,7 +24,7 @@ parent → worker   ``batch`` (list of :class:`CellTask`), ``None``
 worker → parent   ``("ready", wid)`` · ``("start", wid, index, golden)``
                   · ``("heartbeat", wid, index, ordinal)`` ·
                   ``("partial", wid, index, key, state)`` ·
-                  ``("cell", wid, index, data)`` ·
+                  ``("cell", wid, index, data, end)`` ·
                   ``("telemetry", wid, index|None, delta, events)`` ·
                   ``("incident", wid, data)`` ·
                   ``("fatal", wid, index, type, detail)`` ·
@@ -58,8 +58,9 @@ from repro.obs.metrics import subtract_snapshot
 from repro.core.campaign import (
     CampaignConfig,
     CellCheckpoint,
+    CellTask,
     golden_run,
-    run_cell,
+    run_cell_range,
 )
 from repro.core.chaos import ChaosSpec
 from repro.cpu.config import CoreConfig
@@ -68,19 +69,6 @@ from repro.workloads import get_workload
 
 #: The names ``--backend`` accepts.
 BACKEND_NAMES: tuple[str, ...] = ("multiprocessing", "socket")
-
-
-@dataclass(frozen=True)
-class CellTask:
-    """One cell's marching orders, parent → worker."""
-
-    index: int  # position in config.cells() — the merge key
-    workload: str
-    component: str
-    cardinality: int
-    cell_key: str
-    partial: dict | None  # serialised CellCheckpoint to resume from
-    attempt: int = 0  # 0 on first dispatch; >0 on retries
 
 
 @dataclass(frozen=True)
@@ -209,35 +197,6 @@ class _SendJournal:
         self._send(("incident", self._worker_id, incident.as_dict()))
 
 
-class _SendStore:
-    """Worker-side store proxy: resume data in, checkpoints out.
-
-    Duck-types the two methods :func:`~repro.core.campaign.run_cell`
-    uses.  ``get_partial`` serves the checkpoint the parent attached to
-    the task; ``put_partial`` streams new checkpoints to the parent, the
-    single real-store writer.
-    """
-
-    def __init__(self, send: Callable, worker_id: int, task: CellTask) -> None:
-        self._send = send
-        self._worker_id = worker_id
-        self._task = task
-
-    def get_partial(self, key: str) -> CellCheckpoint | None:
-        if self._task.partial is None or key != self._task.cell_key:
-            return None
-        try:
-            return CellCheckpoint.from_dict(self._task.partial)
-        except (KeyError, ValueError, TypeError):  # pragma: no cover
-            return None
-
-    def put_partial(self, key: str, checkpoint: CellCheckpoint) -> None:
-        self._send(
-            ("partial", self._worker_id, self._task.index, key,
-             checkpoint.as_dict())
-        )
-
-
 class _TelemetryShipper:
     """Worker-side telemetry outbox: per-cell metric deltas + trace events.
 
@@ -280,9 +239,9 @@ def _make_probe(
 ) -> Callable[[], bool]:
     """The per-sample stop probe: chaos hook + heartbeat + stop check.
 
-    Probed once before every sample by :func:`run_cell`; *ordinal*
-    counts probes within this dispatch (it restarts at 0 when a
-    rescheduled cell resumes from a checkpoint).  Chaos events fire
+    Probed once before every sample by :func:`run_cell_range`; *ordinal*
+    counts probes within this dispatch (it restarts at 0 on every
+    dispatch: a rescheduled cell, or an adaptive wave's next range).  Chaos events fire
     before the heartbeat, so an ordinal-0 kill dies as silently as a
     real startup segfault.
     """
@@ -370,7 +329,8 @@ def worker_loop(
                 # this worker's lease from the very first heartbeat.
                 try:
                     golden_cycles = golden_run(
-                        get_workload(task.workload), spec.core_cfg
+                        get_workload(task.workload), spec.core_cfg,
+                        cores=spec.config.cores,
                     ).cycles
                 except Exception as exc:  # noqa: BLE001 - surface, don't hang
                     shipper.ship()
@@ -380,14 +340,22 @@ def worker_loop(
                     return
                 send(("start", worker_id, task.index, golden_cycles))
                 probe = _make_probe(task, spec, send, worker_id, stop_flag)
-                store_proxy = _SendStore(send, worker_id, task)
                 try:
-                    cell = run_cell(
+                    cell, end = run_cell_range(
                         task.workload, task.component, task.cardinality,
-                        spec.config, spec.core_cfg,
+                        spec.config, spec.core_cfg, samples=task.samples,
+                        start=(
+                            CellCheckpoint.from_dict(task.partial)
+                            if task.partial is not None else None
+                        ),
                         supervisor=supervisor,
-                        store=store_proxy, cell_key=task.cell_key,
-                        checkpoint_every=spec.checkpoint_every, resume=True,
+                        # Checkpoints stream to the parent, the single
+                        # real-store writer.
+                        save=lambda checkpoint: send((
+                            "partial", worker_id, task.index, task.cell_key,
+                            checkpoint.as_dict(),
+                        )),
+                        checkpoint_every=spec.checkpoint_every,
                         stop=probe,
                         verify=spec.verify,
                         prune=spec.prune,
@@ -413,7 +381,8 @@ def worker_loop(
                 # worker arrive in order, so the parent still holds the
                 # cell as pending when its metric delta arrives.
                 shipper.ship(task.index)
-                send(("cell", worker_id, task.index, cell.as_dict()))
+                send(("cell", worker_id, task.index, cell.as_dict(),
+                      end.as_dict()))
         shipper.ship()
         send(("ready", worker_id))
 

@@ -48,12 +48,17 @@ Architecture (one parent, N workers behind a pluggable backend):
   the respawning: the pool shrinks, and when it reaches zero the parent
   finishes the remaining (non-quarantined) cells serially in-process —
   a failing backend degrades a campaign's speed, never its answer.
-* **Incident forwarding, telemetry streaming, ordered progress, graceful
-  Ctrl-C/SIGTERM** — unchanged from the original engine: the parent
-  enforces the global ``--max-incidents``/``--strict`` budget, merges
-  per-cell metric deltas in canonical order, fires the progress callback
-  in canonical order, and on SIGINT/SIGTERM drains final checkpoints so
-  ``--resume`` continues bit-identically.
+* **Incident forwarding, telemetry streaming, graceful Ctrl-C/SIGTERM**
+  — the parent enforces the global ``--max-incidents``/``--strict``
+  budget, merges per-cell metric deltas in canonical order, and on
+  SIGINT/SIGTERM drains final checkpoints so ``--resume`` continues
+  bit-identically.
+* **A task runner that outlives a run.**  The scheduler is the parallel
+  :class:`~repro.core.campaign.SerialRunner`: it runs sample-range
+  :class:`~repro.core.campaign.CellTask` objects, reports each result to the
+  campaign loop (which orders progress), and keeps its idle workers
+  between :meth:`_Scheduler.run` calls, so every wave of an adaptive
+  campaign reuses one pool.
 
 The deterministic chaos harness (:mod:`repro.core.chaos`,
 ``repro-campaign chaos``) injects worker kills, stalls, dropped and
@@ -63,6 +68,7 @@ and asserts the byte-identical-to-serial guarantee survives all of it.
 
 from __future__ import annotations
 
+import dataclasses
 import heapq
 import time
 from collections import deque
@@ -71,20 +77,20 @@ from pathlib import Path
 from repro import obs
 
 from repro.core.campaign import (
-    DEFAULT_CHECKPOINT_EVERY,
     CampaignConfig,
     CampaignResult,
     CampaignStore,
     CellCheckpoint,
     CellResult,
+    CellTask,
     ProgressFn,
+    SerialRunner,
+    drive_campaign,
     golden_run,
-    run_cell,
 )
 from repro.core.avf import ClassCounts
 from repro.core.chaos import ChaosSpec
 from repro.core.executor import (
-    CellTask,
     ExecutorBackend,
     ResiliencePolicy,
     WorkerHandle,
@@ -93,7 +99,6 @@ from repro.core.executor import (
 )
 from repro.cpu.config import DEFAULT_CONFIG, CoreConfig
 from repro.errors import (
-    CampaignInterrupted,
     IncidentBudgetExceeded,
     InjectionIncident,
     WorkerCrash,
@@ -131,26 +136,25 @@ def _affinity_batches(tasks: list[CellTask], jobs: int) -> list[list[CellTask]]:
 
 
 class _RateModel:
-    """Golden-cycles-per-second rate, calibrated from completed cells.
+    """Golden-cycles-per-second rate, calibrated from completed tasks.
 
-    A cell's simulation budget is proportional to ``golden_cycles ×
-    samples``; each completed cell's budget over its wall time is one
+    A task's simulation budget is proportional to ``golden_cycles ×
+    samples run``; each completed task's budget over its wall time is one
     observed rate, and the model keeps the slowest one seen (cells that
     pruning made cheap must not shorten everyone's lease).  The
     predicted wall time of *one sample* of a cell — what the per-worker
     lease is sized from, since heartbeats arrive once per sample — is
     its golden cycles over that rate, independent of how many samples a
-    cell has.
+    task runs.
     """
 
-    def __init__(self, samples: int) -> None:
-        self._samples = max(1, samples)
+    def __init__(self) -> None:
         self._rate: float | None = None
 
-    def record(self, golden_cycles: int | None, wall: float) -> None:
-        if golden_cycles is None or wall <= 0:
+    def record(self, golden_cycles: int | None, samples: int, wall: float) -> None:
+        if golden_cycles is None or samples <= 0 or wall <= 0:
             return
-        rate = float(golden_cycles) * self._samples / wall
+        rate = float(golden_cycles) * samples / wall
         self._rate = rate if self._rate is None else min(self._rate, rate)
 
     def sample_wall(self, golden_cycles: int | None) -> float | None:
@@ -161,64 +165,39 @@ class _RateModel:
         return float(golden_cycles) / self._rate
 
 
-class _Scheduler:
-    """One campaign's resilient parent loop over an executor backend."""
+class _Scheduler(SerialRunner):
+    """The parallel task runner: a resilient parent loop over an executor
+    backend.
+
+    Workers outlive one :meth:`run`: between calls they sit idle, owing
+    nothing, so every wave of an adaptive campaign reuses one pool (and
+    its warm golden-run and checkpoint caches).  Store hits, start
+    selection and result storage are :class:`SerialRunner`'s, and so is
+    the in-process path the scheduler falls back to when its pool dies.
+    """
 
     def __init__(
         self,
         config: CampaignConfig,
+        core_cfg: CoreConfig = DEFAULT_CONFIG,
+        *,
         jobs: int,
-        progress: ProgressFn | None,
-        store,
-        core_cfg: CoreConfig,
-        supervisor,
-        checkpoint_every: int | None,
-        resume: bool,
-        verify: bool,
-        prune: bool,
-        backend_name: str,
-        policy: ResiliencePolicy,
-        chaos: ChaosSpec | None,
+        backend: str = "multiprocessing",
         backend_options: dict | None = None,
+        policy: ResiliencePolicy | None = None,
+        chaos: ChaosSpec | None = None,
+        **options,
     ) -> None:
-        self.config = config
+        super().__init__(config, core_cfg, **options)
         self.jobs = jobs
-        self.progress = progress
-        self.store = store
-        self.core_cfg = core_cfg
-        self.supervisor = supervisor
-        self.checkpoint_every = checkpoint_every
-        self.resume = resume
-        self.verify = verify
-        self.prune = prune
-        self.backend_name = backend_name
+        self.backend_name = backend
         self.backend_options = backend_options
-        self.policy = policy
+        self.policy = policy if policy is not None else ResiliencePolicy()
         self.chaos = chaos
-
         self.cells = config.cells()
-        self.total = len(self.cells)
-        self.results: dict[int, CellResult] = {}
-        self.keys: dict[int, str] = {}
-        self.tasks: list[CellTask] = []
-        for index, (workload, component, cardinality) in enumerate(self.cells):
-            key = config.cell_key(workload, component, cardinality, core_cfg)
-            self.keys[index] = key
-            cached = store.get(key) if store is not None else None
-            if cached is not None:
-                self.results[index] = cached
-                continue
-            partial = None
-            if store is not None and resume:
-                checkpoint = store.get_partial(key)
-                if checkpoint is not None:
-                    partial = checkpoint.as_dict()
-            self.tasks.append(CellTask(
-                index=index, workload=workload, component=component,
-                cardinality=cardinality, cell_key=key, partial=partial,
-            ))
 
         # Supervisor-derived knobs (duck-typed, like the serial path).
+        supervisor = self.supervisor
         self.strict = bool(getattr(supervisor, "strict", False))
         self.watchdog = bool(getattr(supervisor, "watchdog", True))
         self.max_incidents = getattr(supervisor, "max_incidents", None)
@@ -233,29 +212,28 @@ class _Scheduler:
         self.batches: deque[list[CellTask]] = deque()
         self.retry_heap: list[tuple[float, int, list[CellTask]]] = []
         self._retry_seq = 0
-        self.attempts: dict[int, int] = {}
         self.restarts = 0
-        self.max_restarts = jobs * policy.restarts_per_worker
+        self.max_restarts = jobs * self.policy.restarts_per_worker
         self.degraded = False
         self.global_stop = False
 
-        # Per-cell progress state.
-        self.pending_done = {task.index for task in self.tasks}
-        self.live_partials: dict[int, dict | None] = {
-            task.index: task.partial for task in self.tasks
-        }
-        self.cell_golden: dict[int, int] = {}
+        # Per-run task state (one run = one campaign, or one adaptive wave).
+        self.on_result = None
+        self.tasks: dict[int, CellTask] = {}
+        self.pending_done: set[int] = set()
+        self.live_partials: dict[int, dict | None] = {}
+        self.attempts: dict[int, int] = {}
         self.start_times: dict[int, float] = {}
+        self.cell_golden: dict[int, int] = {}
         # The one watchdog: worker id → lease expiry, present exactly
         # while that worker owes us a message (spawned but not ready, or
         # holding dispatched cells).  Any message renews it for the
         # worker's current lease duration.
         self.leases: dict[int, float] = {}
         self.lease_durations: dict[int, float] = {}
-        self.model = _RateModel(config.samples)
+        self.model = _RateModel()
 
         # Accounting.
-        self.emitted = 0
         self.total_incidents = 0
         self.lost_sample_incidents = 0
         self.abort_exc: Exception | None = None
@@ -269,6 +247,10 @@ class _Scheduler:
         # message streams.
         self._chaos_droppable = 0
         self._chaos_dupable = 0
+
+    @property
+    def incidents(self) -> int:
+        return self.lost_sample_incidents
 
     # -- small helpers -----------------------------------------------------
 
@@ -320,15 +302,6 @@ class _Scheduler:
             traceback="",
             details=details,
         )
-
-    def _emit_progress(self) -> int:
-        while self.emitted in self.results:
-            if self.progress is not None:
-                self.progress(
-                    self.emitted + 1, self.total, self.results[self.emitted]
-                )
-            self.emitted += 1
-        return self.emitted
 
     def _alive_ids(self) -> list[int]:
         return [
@@ -461,13 +434,10 @@ class _Scheduler:
                 self._quarantine(task, cause)
                 continue
             delay = self.policy.backoff(task.cell_key, attempt)
-            refreshed = CellTask(
-                index=index, workload=task.workload,
-                component=task.component, cardinality=task.cardinality,
-                cell_key=task.cell_key,
-                partial=self.live_partials.get(index),
-                attempt=attempt,
+            refreshed = dataclasses.replace(
+                task, partial=self.live_partials.get(index), attempt=attempt,
             )
+            self.tasks[index] = refreshed
             heapq.heappush(
                 self.retry_heap, (now + delay, self._retry_seq, [refreshed])
             )
@@ -506,14 +476,10 @@ class _Scheduler:
             # Fault-free golden run in the parent: safe (the poison is in
             # the cell's *injections*) and cached.
             golden = golden_run(
-                get_workload(task.workload), self.core_cfg
+                get_workload(task.workload), self.core_cfg,
+                cores=self.config.cores,
             ).cycles
-        self.results[index] = CellResult(
-            workload=task.workload, component=task.component,
-            cardinality=task.cardinality, counts=counts,
-            golden_cycles=golden,
-        )
-        lost = max(0, self.config.samples - done)
+        lost = max(0, task.samples - done)
         self.lost_sample_incidents += lost
         attempts = self.attempts.get(index, 0)
         incident = self._fabric_incident(
@@ -535,7 +501,12 @@ class _Scheduler:
             lost=lost,
         )
         self.pending_done.discard(index)
-        self._emit_progress()
+        self.quarantined.add(index)
+        self.on_result(index, CellResult(
+            workload=task.workload, component=task.component,
+            cardinality=task.cardinality, counts=counts,
+            golden_cycles=golden,
+        ), None)
         if self.strict:
             self.abort_exc = InjectionIncident(f"[strict] {incident.message}")
             return
@@ -598,7 +569,10 @@ class _Scheduler:
         return None
 
     def _dispatch(self, worker_id: int) -> None:
-        if self.global_stop or worker_id in self.retired:
+        if worker_id in self.retired:
+            return
+        if self.global_stop:  # draining: no new work, shut down
+            self.handles[worker_id].send(None)
             return
         batch = self._next_batch(time.monotonic())
         if batch is None:
@@ -702,35 +676,26 @@ class _Scheduler:
             if self.store is not None and index in self.pending_done:
                 self.store.put_partial(key, CellCheckpoint.from_dict(state))
         elif kind == "cell":
-            _, _, index, data = message
-            if index not in self.pending_done:
-                return  # duplicate from a reschedule
-            cell = CellResult.from_dict(data)
-            self.results[index] = cell
-            self.pending_done.discard(index)
-            self.live_partials.pop(index, None)
+            _, _, index, data, end = message
+            task = self._claim(worker_id, index, end)
+            if task is None:
+                return
             started = self.start_times.pop(index, None)
             if started is not None:
-                self.model.record(self.cell_golden.get(index), now - started)
-            if self.store is not None:
-                self.store.put(self.keys[index], cell)
-            done = self._emit_progress()
-            if self.parent_tel is not None:
-                # Completed cells buffered waiting for an earlier cell —
-                # how far ahead of canonical order the schedule ran.
-                self.parent_tel.metrics.gauge(
-                    "exec.scheduler.reorder_depth"
-                ).set_max(float(len(self.results) - done))
+                self.model.record(
+                    self.cell_golden.get(index),
+                    task.samples - task.start, now - started,
+                )
+            self._complete(task, data, end)
         elif kind == "telemetry":
             _, _, index, delta, events = message
             if self.parent_tel is not None:
                 if index is None:
                     self.worker_deltas.append(delta)
                 elif index in self.pending_done:
-                    # Keep the first completion's telemetry, like the
-                    # first "cell" message; a raced duplicate is dropped
-                    # with its cell.
                     self.cell_deltas[index] = delta
+                else:  # a raced duplicate of an already merged cell
+                    self._counter("exec.lost_deltas")
                 self.parent_tel.tracer.adopt(events, tid=worker_id + 1)
         elif kind == "incident":
             _, _, data = message
@@ -768,7 +733,8 @@ class _Scheduler:
 
         Cells that already exhausted their attempt budget are quarantined
         first — a cell that killed every worker it touched must not take
-        the parent down with it.
+        the parent down with it.  The others continue from the freshest
+        checkpoint any worker streamed.
         """
         self._mark_degraded("no live workers remain")
         remaining = sorted(self.pending_done)
@@ -777,54 +743,27 @@ class _Scheduler:
         for index in remaining:
             if self.abort_exc is not None:
                 return
-            workload, component, cardinality = self.cells[index]
-            task = CellTask(
-                index=index, workload=workload, component=component,
-                cardinality=cardinality, cell_key=self.keys[index],
-                partial=self.live_partials.get(index),
+            task = dataclasses.replace(
+                self.tasks[index], partial=self.live_partials.get(index),
                 attempt=self.attempts.get(index, 0),
             )
-            if self.attempts.get(index, 0) >= self.policy.max_attempts:
+            if task.attempt >= self.policy.max_attempts:
                 self._quarantine(task, "degraded")
                 continue
             before = (
                 self.supervisor.incident_count
                 if self.supervisor is not None else 0
             )
-            # The store still holds the freshest streamed checkpoint, so
-            # resume=True continues exactly where the dead worker left
-            # off; live_partials may be newer only if a store-less run.
-            if (
-                self.store is None
-                and task.partial is not None
-            ):
-                store_arg = _MemoryPartial(task.cell_key, task.partial)
-            else:
-                store_arg = self.store
             try:
-                cell = run_cell(
-                    workload, component, cardinality,
-                    self.config, self.core_cfg,
-                    supervisor=self.supervisor,
-                    store=store_arg, cell_key=self.keys[index],
-                    checkpoint_every=self.checkpoint_every, resume=True,
-                    verify=self.verify, prune=self.prune,
-                )
-            except CampaignInterrupted:  # pragma: no cover - no stop hook
-                return
+                self._run_here(task, self.on_result)
             except InjectionIncident as exc:
                 self.abort_exc = exc
                 return
+            self.pending_done.discard(index)
             if self.supervisor is not None:
                 contained = self.supervisor.incident_count - before
                 self.total_incidents += contained
                 self.lost_sample_incidents += contained
-            self.results[index] = cell
-            self.pending_done.discard(index)
-            self.live_partials.pop(index, None)
-            if self.store is not None:
-                self.store.put(self.keys[index], cell)
-            self._emit_progress()
 
     # -- shutdown paths ----------------------------------------------------
 
@@ -834,42 +773,15 @@ class _Scheduler:
         Everything durable that arrives during the drain — final mid-cell
         checkpoints, cells that completed in the shutdown window — is
         written to the store, so an interrupted run loses at most the
-        unsampled remainder of each worker's current injection.
+        unsampled remainder of each worker's current injection.  Messages
+        are handled as usual, except that a worker reporting ``ready``
+        is shut down instead of given work.
         """
         deadline = time.monotonic() + timeout
         while self._alive_ids() and time.monotonic() < deadline:
             message = self.backend.recv(_POLL_INTERVAL)
-            if message is None:
-                continue
-            kind = message[0]
-            if kind == "partial":
-                _, _, index, key, state = message
-                self.live_partials[index] = state
-                if self.store is not None and index in self.pending_done:
-                    self.store.put_partial(
-                        key, CellCheckpoint.from_dict(state)
-                    )
-            elif kind == "cell":
-                _, _, index, data = message
-                if self.store is not None and index in self.pending_done:
-                    self.store.put(
-                        self.keys[index], CellResult.from_dict(data)
-                    )
-                self.pending_done.discard(index)
-            elif kind == "telemetry":
-                _, worker_id, index, delta, events = message
-                if self.parent_tel is not None:
-                    if index is None:
-                        self.worker_deltas.append(delta)
-                    elif index in self.pending_done:
-                        self.cell_deltas[index] = delta
-                    self.parent_tel.tracer.adopt(events, tid=worker_id + 1)
-            elif kind == "ready":
-                worker_id = message[1]
-                if worker_id not in self.retired:
-                    self.handles[worker_id].send(None)
-            elif kind in ("stopped", "bye"):
-                self._retire(message[1])
+            if message is not None:
+                self._handle(message)
 
     def _collect_leftover_telemetry(self) -> None:
         """Absorb telemetry still queued after every worker has exited.
@@ -880,20 +792,9 @@ class _Scheduler:
         equality contract only holds for incident-free runs, and the
         counter is how an operator sees why.
         """
-        while True:
-            message = self.backend.recv(0.2)
-            if message is None:
-                return
-            if message[0] != "telemetry":
-                continue
-            _, worker_id, index, delta, events = message
-            if index is None:
-                self.worker_deltas.append(delta)
-            elif index in self.pending_done:
-                self.cell_deltas[index] = delta
-            else:
-                self._counter("exec.lost_deltas")
-            self.parent_tel.tracer.adopt(events, tid=worker_id + 1)
+        while (message := self.backend.recv(0.2)) is not None:
+            if message[0] == "telemetry":
+                self._handle(message)
 
     def _shutdown(self) -> None:
         for worker_id, handle in self.handles.items():
@@ -909,50 +810,81 @@ class _Scheduler:
                 handle.join(timeout=1.0)
         if self.parent_tel is not None:
             self._collect_leftover_telemetry()
-            # Canonical-order merge: same input order every run, and the
-            # merge operators themselves are order-independent — either
-            # property alone makes merged counters deterministic.
-            for index in sorted(self.cell_deltas):
-                self.parent_tel.metrics.merge_dict(self.cell_deltas[index])
+            self._merge_cell_deltas()
             for delta in self.worker_deltas:
                 self.parent_tel.metrics.merge_dict(delta)
         self.backend.close()
 
+    def _merge_cell_deltas(self) -> None:
+        # Canonical-order merge: same input order every run, and the
+        # merge operators themselves are order-independent — either
+        # property alone makes merged counters deterministic.
+        for index in sorted(self.cell_deltas):
+            self.parent_tel.metrics.merge_dict(self.cell_deltas[index])
+        self.cell_deltas.clear()
+
+    def _claim(self, worker_id: int, index: int, end: dict) -> CellTask | None:
+        """The pending task a worker's result completes, or ``None`` for
+        a duplicate or a late result of an earlier run (its end state
+        stops at another target).  Either way the worker no longer holds
+        the cell."""
+        self.assigned[worker_id] = [
+            task for task in self.assigned.get(worker_id, [])
+            if task.index != index
+        ]
+        task = self.tasks.get(index)
+        if index not in self.pending_done or end["samples_done"] != task.samples:
+            return None
+        return task
+
+    def _complete(self, task: CellTask, data: dict, end: dict) -> None:
+        """A worker finished *task*: store it and report it."""
+        self.pending_done.discard(task.index)
+        self.live_partials.pop(task.index, None)
+        self._finish(
+            task, CellResult.from_dict(data), CellCheckpoint.from_dict(end),
+            self.on_result,
+        )
+
     # -- the main loop -----------------------------------------------------
 
-    def run(self) -> CampaignResult:
-        self._emit_progress()
-        if not self.tasks:
-            return CampaignResult(
-                [self.results[i] for i in range(self.total)],
-                incidents=self.lost_sample_incidents,
-            )
-        jobs = max(1, min(self.jobs, len(self.tasks)))
-        batches = _affinity_batches(self.tasks, jobs)
+    def run(self, tasks: list[CellTask], on_result) -> None:
+        """Run *tasks* on the pool, starting it on the first call."""
+        misses = self._prepare(tasks, on_result)
+        self._counter("exec.scheduler.cells_cached", len(tasks) - len(misses))
+        if not misses:
+            return
+        self.on_result = on_result
+        self.tasks = {task.index: task for task in misses}
+        self.pending_done = set(self.tasks)
+        self.live_partials = {task.index: task.partial for task in misses}
+        self.attempts = {}
+        jobs = max(1, min(self.jobs, len(misses)))
+        batches = _affinity_batches(misses, jobs)
         self.batches = deque(batches)
-        self.max_restarts = jobs * self.policy.restarts_per_worker
-        spec = WorkerSpec(
-            config=self.config, core_cfg=self.core_cfg,
-            supervised=self.supervisor is not None, strict=self.strict,
-            watchdog=self.watchdog, checkpoint_every=self.checkpoint_every,
-            telemetry_enabled=self.parent_tel is not None,
-            verify=self.verify,
-            prune=self.prune,
-            heartbeat_interval=self.policy.heartbeat_interval,
-            chaos=self.chaos,
-        )
-        self.backend = create_backend(
-            self.backend_name, spec, self.backend_options
-        )
+        self.retry_heap = []  # a retry left from an earlier run is moot
         if self.parent_tel is not None:
             self.parent_tel.metrics.gauge("exec.scheduler.batches").set_max(
                 len(batches)
             )
-            self.parent_tel.metrics.counter(
-                "exec.scheduler.cells_cached"
-            ).inc(len(self.results))
-        for _ in range(min(jobs, len(batches))):
-            self._spawn()
+        if self.backend is None:
+            self.backend = create_backend(self.backend_name, WorkerSpec(
+                config=self.config, core_cfg=self.core_cfg,
+                supervised=self.supervisor is not None, strict=self.strict,
+                watchdog=self.watchdog, checkpoint_every=self.checkpoint_every,
+                telemetry_enabled=self.parent_tel is not None,
+                verify=self.verify,
+                prune=self.prune,
+                heartbeat_interval=self.policy.heartbeat_interval,
+                chaos=self.chaos,
+            ), self.backend_options)
+        # Workers idle since an earlier run take work first; the pool
+        # then grows to the workers this run can use.
+        for worker_id in sorted(self.idle):
+            self._dispatch(worker_id)
+        if not self.degraded:
+            for _ in range(min(jobs, len(batches)) - len(self._alive_ids())):
+                self._spawn()
         try:
             while self.pending_done and self.abort_exc is None:
                 self._reap_dead()
@@ -987,39 +919,19 @@ class _Scheduler:
             if self.store is not None:
                 self.store.compact()
             raise
-        finally:
-            self.global_stop = True
-            self._shutdown()
-
         if self.abort_exc is not None:
             if self.store is not None:
                 self.store.compact()
             raise self.abort_exc
-        return CampaignResult(
-            [self.results[i] for i in range(self.total)],
-            incidents=self.lost_sample_incidents,
-        )
+        if self.parent_tel is not None:
+            self._merge_cell_deltas()
 
-
-class _MemoryPartial:
-    """Minimal store stand-in for store-less serial fallback: serves the
-    freshest streamed checkpoint so the fallback resumes instead of
-    redoing the dead worker's samples."""
-
-    def __init__(self, key: str, state: dict) -> None:
-        self._key = key
-        self._state = state
-
-    def get_partial(self, key: str) -> CellCheckpoint | None:
-        if key != self._key:
-            return None
-        try:
-            return CellCheckpoint.from_dict(self._state)
-        except (KeyError, ValueError, TypeError):  # pragma: no cover
-            return None
-
-    def put_partial(self, key: str, checkpoint: CellCheckpoint) -> None:
-        self._state = checkpoint.as_dict()
+    def close(self) -> None:
+        """Shut the pool down (workers, leftover telemetry, backend)."""
+        if self.backend is not None:
+            self.global_stop = True
+            self._shutdown()
+            self.backend = None
 
 
 def run_campaign_parallel(
@@ -1029,35 +941,13 @@ def run_campaign_parallel(
     store: CampaignStore | None = None,
     core_cfg: CoreConfig = DEFAULT_CONFIG,
     *,
-    supervisor=None,
-    checkpoint_every: int | None = DEFAULT_CHECKPOINT_EVERY,
-    resume: bool = True,
-    verify: bool = False,
-    prune: bool = False,
-    backend: str = "multiprocessing",
-    backend_options: dict | None = None,
-    policy: ResiliencePolicy | None = None,
     chaos: ChaosSpec | None = None,
+    **options,
 ) -> CampaignResult:
-    """Run a campaign across *jobs* workers behind an executor backend.
-
-    Drop-in equivalent of the serial :func:`~repro.core.campaign.run_campaign`
-    body: same store semantics (cached cells are served without
-    simulation, new cells are persisted as they finish), same supervisor
-    contract (*supervisor*'s journal receives every incident and its
-    ``incident_count`` grows), same result — byte-identical JSON.
-
-    *backend* selects the executor backend (``"multiprocessing"`` or
-    ``"socket"``) and *backend_options* are passed to its constructor
-    (e.g. ``{"host": ..., "port": ..., "autospawn": False}`` for a
-    listening socket coordinator); *policy* tunes the resilience
-    protocol; *chaos* injects deterministic faults into the fabric (see
-    :mod:`repro.core.chaos`).
-    """
-    scheduler = _Scheduler(
-        config, jobs, progress, store, core_cfg, supervisor,
-        checkpoint_every, resume, verify, prune, backend,
-        policy if policy is not None else ResiliencePolicy(), chaos,
-        backend_options,
-    )
-    return scheduler.run()
+    """:func:`~repro.core.campaign.run_campaign` on the scheduler at any
+    *jobs* (one worker included), with the same keyword *options*, store
+    semantics and byte-identical result; *chaos* injects deterministic
+    faults into the fabric (see :mod:`repro.core.chaos`)."""
+    return drive_campaign(config, _Scheduler(
+        config, core_cfg, jobs=jobs, chaos=chaos, store=store, **options,
+    ), progress)

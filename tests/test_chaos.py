@@ -21,12 +21,19 @@ from pathlib import Path
 import pytest
 
 from repro import obs
-from repro.core.campaign import CampaignConfig
-from repro.core.chaos import ChaosEvent, ChaosSpec, build_spec, run_chaos
+from repro.core.campaign import CampaignConfig, golden_run
+from repro.core.chaos import (
+    ChaosEvent,
+    ChaosSpec,
+    build_spec,
+    poison_cell_of,
+    run_chaos,
+)
 from repro.core.executor import ResiliencePolicy
 from repro.core.parallel import run_campaign_parallel
 from repro.core.supervisor import IncidentJournal, Supervisor
 from repro.errors import IncidentBudgetExceeded
+from repro.workloads import get_workload
 
 CONFIG = CampaignConfig(
     workloads=("crc32",),
@@ -224,6 +231,28 @@ def test_poison_cell_respects_incident_budget(tmp_path):
             ),
             chaos=spec,
         )
+
+
+def test_two_core_poison_cell_reports_the_two_core_golden_run(tmp_path):
+    """Workers and the quarantine path size a 2-core cell by the 2-core
+    golden run, not by a 1-core pass of the same program."""
+    config = CampaignConfig(
+        workloads=("qsort_p",), components=("l2", "regfile"),
+        cardinalities=(1,), samples=2, seed=0, cores=2,
+    )
+    spec = build_spec("poison", config, 0, tmp_path, max_attempts=2)
+    result = run_campaign_parallel(
+        config, jobs=2, supervisor=Supervisor(journal=IncidentJournal()),
+        policy=ResiliencePolicy(
+            max_attempts=2, retry_base_delay=0.02, retry_max_delay=0.1,
+        ),
+        chaos=spec,
+    )
+    quarantined = result.cell(*poison_cell_of(spec))
+    assert quarantined.counts.total == 0
+    assert quarantined.golden_cycles == golden_run(
+        get_workload("qsort_p"), cores=2
+    ).cycles
 
 
 def test_worker_death_counts_lost_telemetry_deltas(tmp_path):

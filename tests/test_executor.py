@@ -203,10 +203,11 @@ def test_calibrated_lease_does_not_depend_on_samples_per_cell():
             cardinalities=(1,), samples=samples, seed=0,
         )
         scheduler = parallel._Scheduler(
-            config, 2, None, None, DEFAULT_CONFIG, None, None, False,
-            False, False, "multiprocessing", policy, None,
+            config, DEFAULT_CONFIG, jobs=2, policy=policy,
         )
-        scheduler.model.record(golden_cycles, samples * sample_wall)
+        scheduler.model.record(
+            golden_cycles, samples, samples * sample_wall
+        )
         scheduler._grant_lease(0, golden_cycles, now=0.0)
         leases.append(scheduler.leases[0])
     assert leases[0] == leases[1] == pytest.approx(16.0 * sample_wall)

@@ -27,7 +27,11 @@ from repro.core.campaign import (
 )
 from repro.core.chaos import ChaosEvent, ChaosSpec
 from repro.core.executor import CellTask
-from repro.core.parallel import _affinity_batches, run_campaign_parallel
+from repro.core.parallel import (
+    _affinity_batches,
+    _Scheduler,
+    run_campaign_parallel,
+)
 from repro.core.supervisor import IncidentJournal, Supervisor
 from repro.errors import (
     CampaignInterrupted,
@@ -161,7 +165,7 @@ def test_parallel_run_on_warm_store_is_pure_cache_hit(
 
 def test_affinity_batches_group_by_workload_and_split_when_needed():
     tasks = [
-        CellTask(i, w, c, k, f"key{i}", None)
+        CellTask(i, w, c, k, f"key{i}", None, 1)
         for i, (w, c, k) in enumerate(
             (w, c, k)
             for w in ("a", "b")
@@ -180,6 +184,20 @@ def test_affinity_batches_group_by_workload_and_split_when_needed():
     for batch in batches:
         assert len({task.workload for task in batch}) == 1
     assert sorted(t.index for b in batches for t in b) == list(range(12))
+
+
+def test_a_late_result_of_an_earlier_run_completes_nothing():
+    """Workers outlive a run (an adaptive wave), so a result that arrives
+    late from an earlier wave must not complete the same cell's later
+    range: results are matched to tasks by index and target."""
+    scheduler = _Scheduler(GRID, jobs=2)
+    task = CellTask(0, "stringsearch", "regfile", 1, "key", None, 50)
+    scheduler.tasks = {0: task}
+    scheduler.pending_done = {0}
+    scheduler.assigned = {3: [task]}
+    assert scheduler._claim(3, 0, {"samples_done": 25}) is None
+    assert scheduler.assigned[3] == [] and scheduler.pending_done == {0}
+    assert scheduler._claim(3, 0, {"samples_done": 50}) is task
 
 
 def test_run_cell_stop_hook_flushes_checkpoint_and_resumes(tmp_path):

@@ -4,11 +4,13 @@ import json
 
 import pytest
 
+from repro import obs
 from repro.core import report
 from repro.core.avf import ClassCounts
 from repro.core.campaign import CampaignResult, CellResult
 from repro.core.cli import main
 from repro.cpu.config import DEFAULT_CONFIG
+from repro.obs import load_summary
 
 WORKLOADS = ("alpha", "beta")
 COMPONENTS = ("l1d", "l1i", "l2", "regfile", "dtlb", "itlb")
@@ -145,6 +147,28 @@ def test_cli_adaptive_runs_at_two_cores(tmp_path, capsys):
     assert code == 0
     (cell,) = json.loads(out.read_text())["cells"]
     assert sum(cell["counts"].values()) == 2
+
+
+def test_cli_adaptive_store_then_resume_simulates_nothing(tmp_path, capsys):
+    store = tmp_path / "store.json"
+    run = [
+        "run", "--workloads", "stringsearch", "--components", "regfile",
+        "--cardinalities", "1", "--samples", "30", "--seed", "5",
+        "--adaptive", "--ci-target", "0.3", "--store", str(store),
+    ]
+    assert main(run + ["--out", str(tmp_path / "first.json")]) == 0
+    telemetry = tmp_path / "resumed.telemetry.json"
+    try:
+        assert main(run + [
+            "--resume", "--telemetry", str(telemetry),
+            "--out", str(tmp_path / "resumed.json"),
+        ]) == 0
+    finally:
+        obs.disable()
+    assert (tmp_path / "first.json").read_bytes() == \
+        (tmp_path / "resumed.json").read_bytes()
+    counters = load_summary(telemetry)["counters"]
+    assert counters.get("sim.samples", 0) == 0
 
 
 def test_cli_rejects_pruning_beyond_one_core(capsys):
